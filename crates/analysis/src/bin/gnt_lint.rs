@@ -35,8 +35,11 @@ options:
                       (default: the shared process pool, one worker per
                       host core — the default never oversubscribes)
   --profile           emit one JSON line per file to stderr with per-stage
-                      wall-clock timings (parse/cfg/solve/generate/lint ns);
-                      profiled runs lint sequentially and bypass the cache
+                      wall-clock ns: parse; cfg (lowering, intervals, comm
+                      analysis); generate (the READ and WRITE solves and
+                      the one graph reversal); solve (re-solves behind
+                      blame trails, zero on a clean file); lint (the rest).
+                      Profiled runs lint sequentially and bypass the cache
   --dot PATH          write the interval graph with findings highlighted
                       (Graphviz; single input only)
   --explain CODE      print the registry entry for a diagnostic code

@@ -14,7 +14,7 @@ use crate::diag::Diagnostic;
 use gnt_cfg::{CfgFlow, IntervalGraph, NodeId};
 use gnt_core::{
     check_balance, check_path, check_sufficiency, enumerate_paths, path_has_zero_trip,
-    shift_off_synthetic, solve_batch_with_scratch, FlavorSolution, PlacementProblem, ScratchPool,
+    shift_off_synthetic, solve_with_scratch, FlavorSolution, PlacementProblem, ScratchPool,
     SolverOptions, SolverScratch, Violation,
 };
 use gnt_dataflow::{BitSet, Direction, FlowGraph, GenKillProblem, Meet};
@@ -162,10 +162,8 @@ pub fn lint_placement(
     lint_placement_with_scratch(graph, problem, eager, lazy, opts, &mut scratch)
 }
 
-/// [`lint_placement`] with a caller-provided solver scratch: the
-/// optimality comparison (O2/O3/O3') re-solves the same problem, so a
-/// scratch whose tape cache is already warm for `graph` (e.g. the one the
-/// driver just solved with) turns that re-solve into a cached replay.
+/// [`lint_placement`] with a caller-provided solver scratch: the arena
+/// the optimality comparison (O2/O3/O3') solves its one-shot optimum in.
 pub fn lint_placement_with_scratch(
     graph: &IntervalGraph,
     problem: &PlacementProblem,
@@ -408,7 +406,7 @@ pub fn lint_placement_with_scratch(
     // Optimality (O2/O3/O3') — only meaningful for placements that are
     // otherwise clean, and compared against the solver's own optimum.
     if opts.check_optimality && out.is_empty() {
-        let mut opt = solve_batch_with_scratch(graph, problem, &opts.solver_options, scratch);
+        let mut opt = solve_with_scratch(graph, problem, &opts.solver_options, scratch);
         shift_off_synthetic(graph, &mut opt.eager);
         shift_off_synthetic(graph, &mut opt.lazy);
         for item in 0..cap {

@@ -5,7 +5,7 @@
 use gnt_analyze::driver::LintOptions;
 use gnt_analyze::{lint_batch, lint_batch_on, render_json_batch, Source};
 use gnt_core::{random_program, GenConfig};
-use gnt_dataflow::WorkerPool;
+use gnt_dataflow::{global_pool, WorkerPool};
 
 /// Figure 1 of the paper: lints clean normally, but produces zero-trip
 /// warnings under `--zero-trip` — the corpus salts these in so the
@@ -82,14 +82,14 @@ fn repeated_batches_on_the_global_pool_do_not_grow_threads() {
     // Warm everything once: the global pool's workers and the scratch
     // pool's arenas come into existence here.
     let first = render(&sources, &lint_batch(&sources, &opts));
-    let before = WorkerPool::threads_spawned();
+    let before = global_pool().threads_spawned();
 
     for _ in 0..5 {
         let again = render(&sources, &lint_batch(&sources, &opts));
         assert_eq!(again, first, "warm batches must reproduce the stream");
     }
     assert_eq!(
-        WorkerPool::threads_spawned(),
+        global_pool().threads_spawned(),
         before,
         "steady-state batches must reuse pooled threads"
     );

@@ -16,12 +16,10 @@
 //!   ([`gnt_core::solve_delta`], the EXP-C4 protocol);
 //! * `delta_1row/16items` — a single `TAKE_init` bit toggled and
 //!   re-solved incrementally, the engine's best case;
-//! * `solve/256items`, `solve_par/256items`, and `solve_batch/256items` —
-//!   a 4-word universe solved interpreted-sequentially, item-sharded, and
-//!   by cached-tape replay (the EXP-C2 protocol);
-//! * `solve/2048items` and `solve_par/2048items` — a 32-word universe,
-//!   wide enough that the shard planner actually engages (the 256-item
-//!   rows exist to pin the planner's *refusal*; these pin its grant);
+//! * `solve/256items` and `solve_batch/256items` — a 4-word universe
+//!   solved by the interpreter and by cached-tape replay (the EXP-C2
+//!   protocol);
+//! * `solve/2048items` — a 32-word universe on the same graph;
 //! * `pipeline/ns_per_node` — one complete lint pipeline run (parse →
 //!   CFG/intervals → analyze → solve → generate → lint) over a sized
 //!   program, warm scratch pool;
@@ -60,9 +58,8 @@ use gnt_bench::{
 };
 use gnt_cfg::IntervalGraph;
 use gnt_core::{
-    planned_shards, random_problem, random_program, sized_program, solve, solve_batch,
-    solve_batch_into, solve_delta, solve_into, solve_par, DeltaSet, GenConfig, Solution,
-    SolverOptions, SolverScratch,
+    random_problem, random_program, sized_program, solve, solve_batch, solve_batch_into,
+    solve_delta, solve_into, DeltaSet, GenConfig, Solution, SolverOptions, SolverScratch,
 };
 use gnt_dataflow::WorkerPool;
 use std::path::PathBuf;
@@ -222,7 +219,7 @@ fn main() -> ExitCode {
         });
     }
 
-    // Multi-word universe: sequential vs item-sharded on the largest size.
+    // Multi-word universe: interpreter vs cached tape on the largest size.
     let target = if smoke { 400 } else { 6400 };
     let program = sized_program(target);
     let graph = IntervalGraph::from_program(&program).expect("reducible");
@@ -247,32 +244,10 @@ fn main() -> ExitCode {
         nodes,
         items: 256,
         ns_per_node: ns / nodes as f64,
-        // Auto shard policy: a 4-word universe is far below the sharding
-        // threshold, so the cached tape replays sequentially.
         threads: 1,
     });
-    let par_opts = SolverOptions {
-        parallelism: 4,
-        ..Default::default()
-    };
-    let ns = median_ns(runs, || solve_par(&graph, &problem, &par_opts));
-    records.push(BenchRecord {
-        bench: "solve_par/256items".to_string(),
-        nodes,
-        items: 256,
-        ns_per_node: ns / nodes as f64,
-        // Shards the planner actually grants, not the request: at 256
-        // items (4 words) the planner refuses to starve threads and runs
-        // sequentially — recording the request here is what hid the
-        // 1936.9-vs-1077.6 ns/node regression this planner fix removed.
-        threads: planned_shards(&par_opts, problem.universe_size),
-    });
 
-    // A universe wide enough that the planner grants shards (32 words /
-    // 8-word minimum = 4), on the same graph. On a multi-core host the
-    // shards run concurrently; on a single-core host they serialize and
-    // the row records the true cost of that choice — the gate pins it
-    // either way so the planner's grant threshold can't silently drift.
+    // A 32-word universe on the same graph.
     let problem = random_problem(44, &graph, 2048, 0.3);
     let ns = median_ns(runs, || solve(&graph, &problem, &seq_opts));
     records.push(BenchRecord {
@@ -281,14 +256,6 @@ fn main() -> ExitCode {
         items: 2048,
         ns_per_node: ns / nodes as f64,
         threads: 1,
-    });
-    let ns = median_ns(runs, || solve_par(&graph, &problem, &par_opts));
-    records.push(BenchRecord {
-        bench: "solve_par/2048items".to_string(),
-        nodes,
-        items: 2048,
-        ns_per_node: ns / nodes as f64,
-        threads: planned_shards(&par_opts, problem.universe_size),
     });
 
     // End-to-end pipeline cost for a single program: parse → CFG →

@@ -9,8 +9,9 @@
 use crate::analyze::CommAnalysis;
 use gnt_cfg::{EdgeMask, IntervalGraph, NodeId};
 use gnt_core::{
-    shift_off_synthetic, solve_after_with_scratch, solve_batch_with_scratch,
-    solve_with_pressure_limit_in_place, Flavor, PressureReport, SolverOptions, SolverScratch,
+    shift_off_synthetic, solve_after_with_scratch, solve_with_pressure_limit_in_place,
+    solve_with_scratch, AfterSolution, Flavor, FlavorSolution, PlacementProblem, PressureReport,
+    Solution, SolverOptions, SolverScratch,
 };
 use gnt_dataflow::ItemId;
 use std::fmt;
@@ -103,7 +104,9 @@ pub struct CommOp {
 }
 
 /// A complete communication placement: operations attached before/after
-/// every node of the (forward) interval graph.
+/// every node of the (forward) interval graph, plus the solutions they
+/// were emitted from, so consumers (the lint driver) read them instead of
+/// reversing the graph and solving again.
 #[derive(Clone, Debug)]
 pub struct CommPlan {
     /// The analysis this plan was computed from.
@@ -118,6 +121,18 @@ pub struct CommPlan {
     /// [`GenerateOptions::max_in_flight`] was set; `None` for unlimited
     /// plans.
     pub read_pressure: Option<PressureReport>,
+    /// The READ solution the READ ops were emitted from: `RES_in` and
+    /// `RES_out` shifted off synthetic nodes (§5.4), every other variable
+    /// as solved. Under a pressure bound it solves the bounded problem.
+    pub read: Solution,
+    /// The WRITE solution as solved: unshifted, on its own reversed graph
+    /// (headers poisoned by the §5.3 fallback included). Emission shifts
+    /// copies of its `RES` rows.
+    pub write: AfterSolution,
+    /// The WRITE problem [`CommPlan::write`] solves, indexed by forward
+    /// node ids: the analysis's references plus the placed reads as
+    /// destroyers (phase coupling).
+    pub write_problem: PlacementProblem,
 }
 
 impl CommPlan {
@@ -200,9 +215,11 @@ pub fn generate_styled(
 }
 
 /// The fully-parameterized entry point: solves both problems through the
-/// caller's `scratch` (sharing its cached schedule tapes and arena with
-/// whatever solved before — the lint driver threads one scratch through
-/// analysis, generation, and blame) and assembles the plan.
+/// caller's `scratch` (sharing its arena with whatever solved before —
+/// the lint driver threads one scratch through generation and blame) and
+/// assembles the plan. Each problem is solved once, on the interpreter;
+/// only the pressure-bounded READ solve, which re-solves one graph round
+/// after round, compiles a schedule tape.
 ///
 /// # Errors
 ///
@@ -237,7 +254,7 @@ pub fn generate_with_options(
             read_pressure = Some(report);
             solution
         }
-        None => solve_batch_with_scratch(graph, &analysis.read_problem, &opts, scratch),
+        None => solve_with_scratch(graph, &analysis.read_problem, &opts, scratch),
     };
 
     // Phase coupling: a *placed* READ operation re-communicates owner
@@ -299,19 +316,34 @@ pub fn generate_with_options(
 
     // WRITE: AFTER problem on the reversed graph. Reversed RES_in is
     // production after the node in program order; reversed RES_out before.
-    let mut write = solve_after_with_scratch(graph, &write_problem, &opts, scratch)?;
-    shift_off_synthetic(&write.reversed, &mut write.solution.eager);
-    shift_off_synthetic(&write.reversed, &mut write.solution.lazy);
+    // The plan keeps the solution as solved; only copies of the RES rows
+    // emission reads are shifted.
+    let write = solve_after_with_scratch(graph, &write_problem, &opts, scratch)?;
     let mut write_before: Vec<Vec<CommOp>> = vec![Vec::new(); n];
     let mut write_after: Vec<Vec<CommOp>> = vec![Vec::new(); n];
     let write_flavors: &[(Flavor, bool)] = match style {
         PlacementStyle::Split => &[(Flavor::Lazy, true), (Flavor::Eager, false)],
         PlacementStyle::Atomic => &[(Flavor::Lazy, true)],
     };
+    let write_rows: Vec<(FlavorSolution, bool)> = write_flavors
+        .iter()
+        .map(|&(flavor, is_send)| {
+            let solved = write.solution.flavor(flavor);
+            let mut rows = FlavorSolution {
+                given_in: Vec::new(),
+                given: Vec::new(),
+                given_out: Vec::new(),
+                res_in: solved.res_in.clone(),
+                res_out: solved.res_out.clone(),
+            };
+            shift_off_synthetic(&write.reversed, &mut rows);
+            (rows, is_send)
+        })
+        .collect();
     for node in write.reversed.nodes() {
         let anchor = anchor_in_forward(&write.reversed, node, n);
-        for &(flavor, is_send) in write_flavors {
-            let sol = write.solution.flavor(flavor);
+        for (sol, is_send) in &write_rows {
+            let is_send = *is_send;
             for item in sol.res_in[node.index()].iter() {
                 let op = CommOp {
                     kind: write_kind(&analysis, style, is_send, item),
@@ -352,6 +384,9 @@ pub fn generate_with_options(
         before,
         after,
         read_pressure,
+        read,
+        write,
+        write_problem,
     })
 }
 
@@ -449,6 +484,11 @@ mod tests {
         assert_eq!(plain.before, opted.before);
         assert_eq!(plain.after, opted.after);
         assert!(opted.read_pressure.is_none());
+        // Both problems are solved once each, on the interpreter.
+        assert!(
+            scratch.cached_tape().is_none(),
+            "one-shot solves compile no tape"
+        );
     }
 
     #[test]
@@ -465,6 +505,10 @@ mod tests {
             ..Default::default()
         };
         let plan = generate_with_options(a, &opts, &mut scratch).unwrap();
+        assert!(
+            scratch.cached_tape().is_some(),
+            "the pressure loop replays a tape"
+        );
         let report = plan
             .read_pressure
             .clone()

@@ -13,9 +13,8 @@
 //! after* the consumer (e.g. `WRITE_Recv`) and the LAZY solution the one
 //! *immediately after* it (e.g. `WRITE_Send`).
 
-use crate::problem::{Direction, Flavor, PlacementProblem, SolverOptions};
-use crate::solver::Solution;
-use crate::tape::solve_batch_with_scratch_dir;
+use crate::problem::{Flavor, PlacementProblem, SolverOptions};
+use crate::solver::{solve_with_scratch, Solution};
 use gnt_cfg::{reversed_graph, GraphError, IntervalGraph, NodeId};
 use gnt_dataflow::BitSet;
 
@@ -88,7 +87,10 @@ pub fn solve_after(
 
 /// [`solve_after`] reusing a caller-provided scratch arena — the
 /// optimistic attempt and the poisoned fallback (and any further AFTER
-/// solves through the same scratch) share one allocation.
+/// solves through the same scratch) share one allocation. Both attempts
+/// are one-shot solves and run on the interpreter: the fallback poisons
+/// headers, which changes the schedule, so a compiled tape would never
+/// be replayed.
 ///
 /// # Errors
 ///
@@ -109,11 +111,7 @@ pub fn solve_after_with_scratch(
     // and the jump path gets its own balanced production at the landing
     // pad. This is sound whenever consumption on the jump path occurs
     // before the back edge; the independent verifiers decide.
-    // Both this solve and the poisoned fallback (and any later AFTER
-    // solves through the same scratch) replay the scratch-cached schedule
-    // tape for the reversed graph's AFTER slot; poisoning changes the
-    // structural fingerprint, so the fallback recompiles exactly once.
-    let solution = solve_batch_with_scratch_dir(Direction::After, &reversed, &p, opts, scratch);
+    let solution = solve_with_scratch(&reversed, &p, opts, scratch);
     let jump_entered: Vec<_> = reversed
         .nodes()
         .filter(|&h| !reversed.jump_in_sources(h).is_empty())
@@ -132,8 +130,7 @@ pub fn solve_after_with_scratch(
             for h in jump_entered {
                 reversed.poison(h);
             }
-            let solution =
-                solve_batch_with_scratch_dir(Direction::After, &reversed, &p, opts, scratch);
+            let solution = solve_with_scratch(&reversed, &p, opts, scratch);
             return Ok(AfterSolution { reversed, solution });
         }
     }

@@ -44,8 +44,8 @@
 //! [`DeltaReport::full_replay`]:
 //!
 //! * the scratch does not hold a prior full-universe replay of the same
-//!   tape (cold scratch, interpreted solve in between, shard-window
-//!   replay, changed universe width);
+//!   tape (cold scratch, interpreted solve in between, changed universe
+//!   width);
 //! * the graph or options changed shape (fingerprint mismatch — this is
 //!   how CFG edits and poison changes are handled: the tape recompiles
 //!   and the first solve is a full replay);
@@ -60,9 +60,9 @@
 //! that did not change is merely wasted work; changing a row without
 //! marking it yields stale results.
 
-use crate::problem::{Direction, PlacementProblem, SolverOptions};
+use crate::problem::{PlacementProblem, SolverOptions};
 use crate::scratch::{SolverScratch, NUM_FAMILIES, NUM_TEMPS};
-use crate::solver::{check_coverage, window_of, Solution, Window};
+use crate::solver::{check_coverage, Solution};
 use crate::tape::{ScheduleTape, TapeOp};
 use gnt_cfg::{IntervalGraph, NodeId};
 use std::cmp::Reverse;
@@ -436,12 +436,11 @@ fn push_block(heap: &mut BinaryHeap<Reverse<u32>>, queued: &mut [u64], blk: u32)
 /// Replays only the blocks transitively reachable from the dirty rows,
 /// in tape order, stopping each branch of the propagation as soon as a
 /// block's outputs reproduce their previous bits.
-pub(crate) fn execute_delta_window(
+fn execute_delta(
     tape: &ScheduleTape,
     problem: &PlacementProblem,
     scratch: &mut SolverScratch,
     delta: &DeltaSet,
-    win: Window,
     report: &mut DeltaReport,
 ) {
     let index = tape.delta_index();
@@ -495,18 +494,15 @@ pub(crate) fn execute_delta_window(
                 TapeOp::CopyOrAndNot { dst, a, b, c } => {
                     slab.copy_or_andnot_changed(dst as usize, a as usize, b as usize, c as usize)
                 }
-                TapeOp::LoadTake { dst, node } => slab.load_changed(
-                    dst as usize,
-                    window_of(&problem.take_init[node as usize], &win),
-                ),
-                TapeOp::LoadSteal { dst, node } => slab.load_changed(
-                    dst as usize,
-                    window_of(&problem.steal_init[node as usize], &win),
-                ),
-                TapeOp::LoadGive { dst, node } => slab.load_changed(
-                    dst as usize,
-                    window_of(&problem.give_init[node as usize], &win),
-                ),
+                TapeOp::LoadTake { dst, node } => {
+                    slab.load_changed(dst as usize, problem.take_init[node as usize].words())
+                }
+                TapeOp::LoadSteal { dst, node } => {
+                    slab.load_changed(dst as usize, problem.steal_init[node as usize].words())
+                }
+                TapeOp::LoadGive { dst, node } => {
+                    slab.load_changed(dst as usize, problem.give_init[node as usize].words())
+                }
             };
             if changed {
                 let dst = op_dst(op);
@@ -572,19 +568,8 @@ pub fn solve_delta(
     scratch: &mut SolverScratch,
     delta: &DeltaSet,
 ) -> DeltaReport {
-    solve_delta_dir(Direction::Before, graph, problem, opts, scratch, delta)
-}
-
-pub(crate) fn solve_delta_dir(
-    dir: Direction,
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-    delta: &DeltaSet,
-) -> DeltaReport {
     check_coverage(graph, problem);
-    let tape = scratch.tapes.take_or_compile(dir, graph, opts);
+    let tape = scratch.tapes.take_or_compile(graph, opts);
     let mut report = DeltaReport {
         blocks_total: tape.delta_index().num_blocks(),
         ops_total: tape.num_ops(),
@@ -595,21 +580,14 @@ pub(crate) fn solve_delta_dir(
         && scratch.num_nodes() == graph.num_nodes()
         && scratch.universe_bits() == problem.universe_size;
     if incremental {
-        execute_delta_window(
-            &tape,
-            problem,
-            scratch,
-            delta,
-            Window::full(problem.universe_size),
-            &mut report,
-        );
+        execute_delta(&tape, problem, scratch, delta, &mut report);
     } else {
         report.full_replay = true;
         report.blocks_run = report.blocks_total;
         report.ops_run = report.ops_total;
-        tape.execute_window(problem, scratch, Window::full(problem.universe_size));
+        tape.execute_into(problem, scratch);
     }
-    scratch.tapes.put(dir, tape);
+    scratch.tapes.put(tape);
     report
 }
 

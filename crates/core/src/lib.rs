@@ -84,8 +84,7 @@ pub use scratch::SolverScratch;
 pub use scratch_pool::{PooledScratch, ScratchPool};
 pub use shift::{shift_off_synthetic, ShiftReport};
 pub use solver::{
-    planned_shards, solve, solve_into, solve_par, solve_with_scratch, ConsumptionVars,
-    FlavorSolution, Solution,
+    solve, solve_into, solve_with_scratch, ConsumptionVars, FlavorSolution, Solution,
 };
 pub use tape::{solve_batch, solve_batch_into, solve_batch_with_scratch, ScheduleTape, TapeOp};
 pub use verify::{

@@ -122,14 +122,6 @@ pub struct SolverOptions {
     /// the loop-body contributions to `TAKE` instead, the equivalent
     /// mechanism of §5.3).
     pub no_hoist_headers: Vec<NodeId>,
-    /// Item-sharding width for the solve. `0` (the default) picks
-    /// automatically: shard across available cores when the universe is
-    /// large enough to amortise thread spawns, otherwise solve
-    /// sequentially. `1` forces the sequential path. `k ≥ 2` requests up
-    /// to `k` word-aligned shards, clamped so every shard keeps enough
-    /// words to beat the sequential path (narrow universes fall back to
-    /// it). Sharded and sequential solves are bit-identical.
-    pub parallelism: usize,
 }
 
 #[cfg(test)]

@@ -9,11 +9,6 @@
 //! shape ([`crate::solve_into`], the pressure re-solve loop, ablations,
 //! proptests) reuse the allocation and touch the allocator not at all
 //! after warm-up.
-//!
-//! The scratch is also the unit of *item sharding*: a shard solves the
-//! word window `[word0, word0+words)` of the universe into a scratch whose
-//! rows are exactly that window wide, and [`SolverScratch::write_into`]
-//! stitches the window back into a full-width [`Solution`].
 
 use crate::problem::Flavor;
 use crate::solver::{ConsumptionVars, FlavorSolution, Solution};
@@ -80,15 +75,16 @@ pub struct SolverScratch {
     pub(crate) slab: BitSlab,
     nodes: usize,
     bits: usize,
-    /// Compiled schedule tapes, one slot per [`crate::Direction`], reused
-    /// by the `solve_batch*` entry points as long as the graph shape and
-    /// hoisting options fingerprint the same (see [`crate::ScheduleTape`]).
+    /// The compiled BEFORE schedule tape, reused by the re-solve sessions
+    /// (`solve_batch*`, [`crate::solve_delta`], the pressure loop) as long
+    /// as the graph shape and hoisting options fingerprint the same (see
+    /// [`crate::ScheduleTape`]).
     pub(crate) tapes: crate::tape::TapeCache,
     /// Fingerprint of the tape whose *full-universe* replay the arena
     /// currently holds, if any — the validity token for
     /// [`crate::solve_delta`]. Set by a full tape execution, cleared by
-    /// [`SolverScratch::prepare`] (every interpreted solve and every
-    /// shard-window replay goes through it).
+    /// [`SolverScratch::prepare`] (every interpreted solve goes through
+    /// it).
     delta_basis: Option<u64>,
 }
 
@@ -134,7 +130,7 @@ impl SolverScratch {
         self.nodes
     }
 
-    /// Bits per row (the universe size, or the shard window width).
+    /// Bits per row (the universe size).
     pub fn universe_bits(&self) -> usize {
         self.bits
     }
@@ -253,24 +249,22 @@ impl SolverScratch {
             .collect()
     }
 
-    /// Exports the arena into an owned [`Solution`]. Only valid for
-    /// full-universe solves (not shard windows).
+    /// Exports the arena into an owned [`Solution`].
     pub fn export(&self) -> Solution {
         let mut sol = Solution::empty(self.nodes, self.bits);
-        self.write_into(&mut sol, 0);
+        self.write_into(&mut sol);
         sol
     }
 
-    /// Copies every row into `sol` at word offset `word0` — the stitching
-    /// step of a sharded solve. `sol` must cover the full universe; this
-    /// scratch contributes the window `[64·word0, 64·word0 + bits)`.
-    pub(crate) fn write_into(&self, sol: &mut Solution, word0: usize) {
+    /// Copies every row into `sol`, which must already be shaped for this
+    /// scratch's nodes and universe.
+    pub(crate) fn write_into(&self, sol: &mut Solution) {
         let stride = self.slab.stride();
         let put = |family: usize, sets: &mut [BitSet]| {
             debug_assert_eq!(sets.len(), self.nodes);
             for (i, set) in sets.iter_mut().enumerate() {
                 let row = self.slab.row(self.fam(family, i));
-                set.words_mut()[word0..word0 + stride].copy_from_slice(row.words());
+                set.words_mut()[..stride].copy_from_slice(row.words());
             }
         };
         let ConsumptionVars {

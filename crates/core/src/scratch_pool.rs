@@ -17,8 +17,8 @@
 //! delta-basis token), so a stale cache can never corrupt a solve — it
 //! only costs a recompile.
 //!
-//! [`ScratchPool::global`] is the process-wide instance used by the
-//! sharded tape executor and the batch lint front-end in `gnt-analyze`;
+//! [`ScratchPool::global`] is the process-wide instance used by the lint
+//! driver and the batch lint front-end in `gnt-analyze`;
 //! steady-state batch runs allocate nothing once every worker has warmed
 //! a scratch.
 
@@ -64,8 +64,8 @@ impl ScratchPool {
         ScratchPool::default()
     }
 
-    /// The process-wide pool shared by the sharded tape executor and the
-    /// batch lint front-end. Its population converges on the maximum
+    /// The process-wide pool shared by the lint driver and the batch lint
+    /// front-end. Its population converges on the maximum
     /// number of concurrently checked-out scratches (≈ pool workers).
     pub fn global() -> &'static ScratchPool {
         static POOL: OnceLock<ScratchPool> = OnceLock::new();

@@ -1,6 +1,6 @@
 //! Schedule compilation: the Figure-15 elimination schedule lowered to a
-//! flat tape of fused kernel ops, compiled once per `(graph, direction)`
-//! and replayed for every solve.
+//! flat tape of fused kernel ops, compiled once per graph and replayed for
+//! every re-solve.
 //!
 //! The interpreted solver ([`crate::solve_into`]) re-derives the schedule
 //! on every call: per-node edge-class filtering, interval lookups, and
@@ -19,21 +19,24 @@
 //! (`tests/tape_differential.rs`) locks this on hundreds of random
 //! programs in both directions.
 //!
-//! Tapes are cached per direction inside the [`SolverScratch`] that
-//! executes them: BEFORE and AFTER problems, the pressure re-solve loop,
-//! and the lint driver's blame re-derivations all replay the same two
-//! tapes. A 64-bit structural fingerprint over the classified edges, the
-//! effective poison set, and the jump-in sources guards each slot —
-//! poisoning a header (the AFTER fallback of [`crate::solve_after`]) or
-//! changing a hoisting knob recompiles, anything else replays.
+//! A compile costs about eight interpreted solves, so the tape pays only
+//! where one graph is solved again and again: the pressure re-solve loop,
+//! [`crate::solve_delta`], and explicit [`solve_batch`] callers. One-shot
+//! solves (plan generation, both AFTER attempts, blame re-derivations)
+//! run on the interpreter and never compile. The tape those sessions
+//! replay is cached in one slot inside the [`SolverScratch`] that
+//! executes it; a 64-bit structural fingerprint over the classified
+//! edges, the effective poison set, and the jump-in sources guards the
+//! slot — poisoning a header or changing a hoisting knob recompiles,
+//! anything else replays.
 
-use crate::problem::{Direction, Flavor, PlacementProblem, SolverOptions};
+use crate::problem::{Flavor, PlacementProblem, SolverOptions};
 use crate::scratch::{
     flavor_offset, SolverScratch, F_BLOCK, F_BLOCK_LOC, F_GIVE, F_GIVEN, F_GIVEN_IN, F_GIVEN_OUT,
     F_GIVE_LOC, F_RES_IN, F_RES_OUT, F_STEAL, F_STEAL_LOC, F_TAKE, F_TAKEN_IN, F_TAKEN_OUT,
     F_TAKE_LOC, NUM_FAMILIES,
 };
-use crate::solver::{check_coverage, shard_count, window_of, windows_for, Solution, Window};
+use crate::solver::{check_coverage, Solution};
 use gnt_cfg::{EdgeClass, EdgeMask, IntervalGraph, NodeId};
 
 /// One instruction of a compiled schedule: a fused `gnt-dataflow` kernel
@@ -128,7 +131,7 @@ pub enum TapeOp {
         /// Subtrahend row.
         c: u32,
     },
-    /// `dst ← TAKE_init(node)` (the solved window of it).
+    /// `dst ← TAKE_init(node)`.
     LoadTake {
         /// Destination row.
         dst: u32,
@@ -603,22 +606,12 @@ impl ScheduleTape {
     /// Panics if `problem` does not cover the graph this tape was
     /// compiled for.
     pub fn execute_into(&self, problem: &PlacementProblem, scratch: &mut SolverScratch) {
-        self.execute_window(problem, scratch, Window::full(problem.universe_size));
-    }
-
-    /// Replays the tape over one word window of the universe.
-    pub(crate) fn execute_window(
-        &self,
-        problem: &PlacementProblem,
-        scratch: &mut SolverScratch,
-        win: Window,
-    ) {
         assert_eq!(
             problem.num_nodes(),
             self.nodes,
             "problem must cover the compiled graph"
         );
-        scratch.prepare(self.nodes, win.bits);
+        scratch.prepare(self.nodes, problem.universe_size);
         let slab = &mut scratch.slab;
         for &op in &self.ops {
             match op {
@@ -641,26 +634,20 @@ impl ScheduleTape {
                 TapeOp::CopyOrAndNot { dst, a, b, c } => {
                     slab.copy_or_andnot(dst as usize, a as usize, b as usize, c as usize);
                 }
-                TapeOp::LoadTake { dst, node } => slab.load(
-                    dst as usize,
-                    window_of(&problem.take_init[node as usize], &win),
-                ),
-                TapeOp::LoadSteal { dst, node } => slab.load(
-                    dst as usize,
-                    window_of(&problem.steal_init[node as usize], &win),
-                ),
-                TapeOp::LoadGive { dst, node } => slab.load(
-                    dst as usize,
-                    window_of(&problem.give_init[node as usize], &win),
-                ),
+                TapeOp::LoadTake { dst, node } => {
+                    slab.load(dst as usize, problem.take_init[node as usize].words());
+                }
+                TapeOp::LoadSteal { dst, node } => {
+                    slab.load(dst as usize, problem.steal_init[node as usize].words());
+                }
+                TapeOp::LoadGive { dst, node } => {
+                    slab.load(dst as usize, problem.give_init[node as usize].words());
+                }
             }
         }
-        // A full-universe replay establishes the basis the incremental
-        // engine (`solve_delta`) re-solves against; shard windows leave
-        // the scratch holding only a slice and must not.
-        if win.word0 == 0 && win.bits == problem.universe_size {
-            scratch.set_delta_basis(Some(self.fingerprint));
-        }
+        // A full replay establishes the basis the incremental engine
+        // (`solve_delta`) re-solves against.
+        scratch.set_delta_basis(Some(self.fingerprint));
     }
 }
 
@@ -767,60 +754,46 @@ fn fingerprint(graph: &IntervalGraph, opts: &SolverOptions) -> u64 {
     h
 }
 
-/// The per-scratch tape cache: one slot per [`Direction`], guarded by the
-/// structural fingerprint. BEFORE solves, AFTER solves (on the reversed
-/// graph), pressure re-solve rounds, and blame re-derivations through the
-/// same scratch replay the same two tapes.
+/// The per-scratch tape cache: the one BEFORE tape a re-solve session
+/// replays, guarded by the structural fingerprint.
 #[derive(Debug, Default)]
 pub(crate) struct TapeCache {
-    slots: [Option<ScheduleTape>; 2],
+    slot: Option<ScheduleTape>,
 }
 
 impl TapeCache {
-    fn slot(dir: Direction) -> usize {
-        match dir {
-            Direction::Before => 0,
-            Direction::After => 1,
-        }
-    }
-
-    /// Takes the cached tape for `dir` if its fingerprint still matches
-    /// `graph` under `opts`; compiles a fresh tape otherwise. The caller
-    /// returns it with [`TapeCache::put`] after executing (the tape moves
-    /// out so the scratch can be mutably borrowed during execution).
+    /// Takes the cached tape if its fingerprint still matches `graph`
+    /// under `opts`; compiles a fresh tape otherwise. The caller returns
+    /// it with [`TapeCache::put`] after executing (the tape moves out so
+    /// the scratch can be mutably borrowed during execution).
     pub(crate) fn take_or_compile(
         &mut self,
-        dir: Direction,
         graph: &IntervalGraph,
         opts: &SolverOptions,
     ) -> ScheduleTape {
-        match self.slots[Self::slot(dir)].take() {
+        match self.slot.take() {
             Some(tape) if tape.fingerprint == fingerprint(graph, opts) => tape,
             _ => ScheduleTape::compile(graph, opts),
         }
     }
 
-    pub(crate) fn put(&mut self, dir: Direction, tape: ScheduleTape) {
-        self.slots[Self::slot(dir)] = Some(tape);
+    pub(crate) fn put(&mut self, tape: ScheduleTape) {
+        self.slot = Some(tape);
     }
 }
 
 impl SolverScratch {
-    /// The tape cached for `dir`, if any — populated by the
-    /// `solve_batch*` entry points and [`crate::solve_after_with_scratch`].
-    pub fn cached_tape(&self, dir: Direction) -> Option<&ScheduleTape> {
-        self.tapes.slots[TapeCache::slot(dir)].as_ref()
+    /// The cached schedule tape, if any — populated by the `solve_batch*`
+    /// entry points, [`crate::solve_delta`] and the pressure loop.
+    pub fn cached_tape(&self) -> Option<&ScheduleTape> {
+        self.tapes.slot.as_ref()
     }
 }
 
 /// Batched tape solve: replays the scratch-cached schedule tape for
-/// `(graph, BEFORE)` across the item universe and writes the result into
-/// the caller-reused `out`, allocating nothing once `scratch` and `out`
-/// are warm. Universes wide enough to amortise thread spawns (per
-/// [`SolverOptions::parallelism`], auto by default) are split into
-/// word-granular shards, each replaying the same tape over its window —
-/// the sharding policy of [`crate::solve_par`], applied to tape
-/// execution. Results are bit-identical to [`crate::solve`].
+/// `graph` and writes the result into the caller-reused `out`, allocating
+/// nothing once `scratch` and `out` are warm. Results are bit-identical
+/// to [`crate::solve`].
 ///
 /// # Panics
 ///
@@ -851,37 +824,20 @@ pub fn solve_batch(
     scratch: &mut SolverScratch,
     out: &mut Solution,
 ) {
-    solve_batch_dir(Direction::Before, graph, problem, opts, scratch, out);
-}
-
-pub(crate) fn solve_batch_dir(
-    dir: Direction,
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-    out: &mut Solution,
-) {
     check_coverage(graph, problem);
-    let tape = scratch.tapes.take_or_compile(dir, graph, opts);
-    let words = problem.universe_size.div_ceil(64);
-    let shards = shard_count(opts, words, false);
-    // Every word of every row of `out` is overwritten below (the shard
-    // windows partition the universe), so re-shaping skips the zeroing.
+    let tape = scratch.tapes.take_or_compile(graph, opts);
+    // Every word of every row of `out` is overwritten below, so
+    // re-shaping skips the zeroing.
     out.reshape_for_overwrite(graph.num_nodes(), problem.universe_size);
-    if shards > 1 {
-        execute_sharded(&tape, problem, shards, out);
-    } else {
-        tape.execute_window(problem, scratch, Window::full(problem.universe_size));
-        scratch.write_into(out, 0);
-    }
-    scratch.tapes.put(dir, tape);
+    tape.execute_into(problem, scratch);
+    scratch.write_into(out);
+    scratch.tapes.put(tape);
 }
 
 /// [`solve_batch`] without the export: replays the cached BEFORE tape and
 /// leaves every variable readable in `scratch` (zero-copy views) — the
 /// tape analogue of [`crate::solve_into`], used by the pressure re-solve
-/// loop and the lint driver's blame queries.
+/// loop.
 ///
 /// # Panics
 ///
@@ -892,20 +848,10 @@ pub fn solve_batch_into(
     opts: &SolverOptions,
     scratch: &mut SolverScratch,
 ) {
-    solve_batch_into_dir(Direction::Before, graph, problem, opts, scratch);
-}
-
-pub(crate) fn solve_batch_into_dir(
-    dir: Direction,
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-) {
     check_coverage(graph, problem);
-    let tape = scratch.tapes.take_or_compile(dir, graph, opts);
-    tape.execute_window(problem, scratch, Window::full(problem.universe_size));
-    scratch.tapes.put(dir, tape);
+    let tape = scratch.tapes.take_or_compile(graph, opts);
+    tape.execute_into(problem, scratch);
+    scratch.tapes.put(tape);
 }
 
 /// [`solve_batch_into`] followed by [`SolverScratch::export`]: the
@@ -924,51 +870,10 @@ pub fn solve_batch_with_scratch(
     scratch.export()
 }
 
-pub(crate) fn solve_batch_with_scratch_dir(
-    dir: Direction,
-    graph: &IntervalGraph,
-    problem: &PlacementProblem,
-    opts: &SolverOptions,
-    scratch: &mut SolverScratch,
-) -> Solution {
-    solve_batch_into_dir(dir, graph, problem, opts, scratch);
-    scratch.export()
-}
-
-/// Replays `tape` over `shards` word windows in parallel (one pooled
-/// scratch per shard job — [`crate::ScratchPool::global`] — run on the
-/// persistent [`gnt_dataflow::global_pool`] rather than per-call spawned
-/// threads) and stitches the windows into `out`, which must already be
-/// shaped for the full universe. Steady-state sharded traffic therefore
-/// allocates nothing: the threads are parked, the arenas warm.
-pub(crate) fn execute_sharded(
-    tape: &ScheduleTape,
-    problem: &PlacementProblem,
-    shards: usize,
-    out: &mut Solution,
-) {
-    let windows = windows_for(problem.universe_size, shards);
-    let mut results: Vec<Option<(crate::PooledScratch<'static>, usize)>> =
-        (0..windows.len()).map(|_| None).collect();
-    gnt_dataflow::global_pool().scope(|s| {
-        for (slot, &win) in results.iter_mut().zip(windows.iter()) {
-            s.spawn(move || {
-                let mut scratch = crate::ScratchPool::global().checkout();
-                tape.execute_window(problem, &mut scratch, win);
-                *slot = Some((scratch, win.word0));
-            });
-        }
-    });
-    for entry in &results {
-        let (scratch, word0) = entry.as_ref().expect("pool scope joins all shards");
-        scratch.write_into(out, *word0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{solve, solve_into};
+    use crate::solver::solve;
     use gnt_cfg::NodeKind;
     use gnt_ir::parse;
 
@@ -1023,25 +928,9 @@ mod tests {
             solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
             assert_eq!(out, expected, "items = {items}");
             // Second call replays the cached tape into the warm buffer.
-            assert!(scratch.cached_tape(Direction::Before).is_some());
+            assert!(scratch.cached_tape().is_some());
             solve_batch(&g, &prob, &opts, &mut scratch, &mut out);
             assert_eq!(out, expected, "replay, items = {items}");
-        }
-    }
-
-    #[test]
-    fn sharded_execution_stitches_bit_identically() {
-        let g = graph(BRANCHY);
-        let prob = take_everywhere(&g, 300); // 5 words
-        let opts = SolverOptions::default();
-        let tape = ScheduleTape::compile(&g, &opts);
-        let mut scratch = SolverScratch::new();
-        solve_into(&g, &prob, &opts, &mut scratch);
-        let expected = scratch.export();
-        for shards in [2usize, 3, 5] {
-            let mut out = Solution::empty(g.num_nodes(), 300);
-            execute_sharded(&tape, &prob, shards, &mut out);
-            assert_eq!(out, expected, "shards = {shards}");
         }
     }
 

@@ -11,8 +11,9 @@
 
 use gnt_cfg::{reversed_graph, IntervalGraph, NodeId, NodeKind};
 use gnt_core::{
-    random_problem, random_program, solve, solve_batch_into, solve_delta, solve_delta_with_scratch,
-    DeltaKind, DeltaSet, GenConfig, PlacementProblem, SolverOptions, SolverScratch,
+    random_problem, random_program, solve, solve_after, solve_batch_into, solve_delta,
+    solve_delta_with_scratch, DeltaKind, DeltaSet, GenConfig, PlacementProblem, SolverOptions,
+    SolverScratch,
 };
 use gnt_ir::parse;
 use proptest::prelude::*;
@@ -153,7 +154,10 @@ fn repeated_deltas_stay_identical_across_rounds() {
 }
 
 /// Reversed graphs (jump-in sources ⇒ forward references in the tape)
-/// must decline the incremental path yet still produce exact results.
+/// must decline the incremental path yet still produce exact results —
+/// on a plain reversal, on the graph `solve_after` solved (poisoned when
+/// its fallback fired), and on a copy of that with every jump-entered
+/// header poisoned.
 #[test]
 fn reversed_graphs_fall_back_and_stay_correct() {
     let mut scratch = SolverScratch::new();
@@ -161,23 +165,39 @@ fn reversed_graphs_fall_back_and_stay_correct() {
     for seed in 0..80u64 {
         let program = random_program(seed, &GenConfig::default());
         let graph = IntervalGraph::from_program(&program).unwrap();
-        let rg = reversed_graph(&graph).unwrap();
         let universe = 70;
-        let mut problem = random_problem(seed + 11, &graph, universe, 0.3);
-        problem.resize_nodes(rg.num_nodes());
+        let base = random_problem(seed + 11, &graph, universe, 0.3);
         let opts = SolverOptions::default();
-        solve_batch_into(&rg, &problem, &opts, &mut scratch);
-        let mut delta = DeltaSet::new();
-        let mut rng = Lcg(seed ^ 0xAF7E);
-        mutate(&mut problem, &mut delta, &mut rng, universe);
-        let report = solve_delta(&rg, &problem, &opts, &mut scratch, &delta);
-        assert_eq!(
-            scratch.export(),
-            solve(&rg, &problem, &opts),
-            "reversed, seed {seed}"
-        );
-        if report.full_replay {
-            declined += 1;
+        let after = solve_after(&graph, &base, &opts).unwrap();
+        let mut poisoned = after.reversed.clone();
+        let jump_entered: Vec<_> = poisoned
+            .nodes()
+            .filter(|&h| !poisoned.jump_in_sources(h).is_empty())
+            .collect();
+        for h in jump_entered {
+            poisoned.poison(h);
+        }
+        let graphs = [
+            ("reversed", reversed_graph(&graph).unwrap()),
+            ("after.reversed", after.reversed),
+            ("after.reversed poisoned", poisoned),
+        ];
+        for (label, rg) in &graphs {
+            let mut problem = base.clone();
+            problem.resize_nodes(rg.num_nodes());
+            solve_batch_into(rg, &problem, &opts, &mut scratch);
+            let mut delta = DeltaSet::new();
+            let mut rng = Lcg(seed ^ 0xAF7E);
+            mutate(&mut problem, &mut delta, &mut rng, universe);
+            let report = solve_delta(rg, &problem, &opts, &mut scratch, &delta);
+            assert_eq!(
+                scratch.export(),
+                solve(rg, &problem, &opts),
+                "{label}, seed {seed}"
+            );
+            if report.full_replay {
+                declined += 1;
+            }
         }
     }
     assert!(

@@ -1,6 +1,5 @@
-//! Differential tests: the arena/kernel solver — sequential, with a
-//! reused [`SolverScratch`], and item-sharded ([`solve_par`]) — is
-//! bit-identical to a straightforward clone-per-equation reference
+//! Differential tests: the arena/kernel solver — fresh, and with a
+//! reused [`SolverScratch`] — is bit-identical to a straightforward clone-per-equation reference
 //! implementation of Figure 13, on hundreds of random programs, BEFORE
 //! and AFTER.
 //!
@@ -11,8 +10,8 @@
 
 use gnt_cfg::{reversed_graph, IntervalGraph};
 use gnt_core::{
-    random_problem, random_program, solve, solve_after, solve_par, solve_with_scratch, GenConfig,
-    PlacementProblem, Solution, SolverOptions, SolverScratch,
+    random_problem, random_program, solve, solve_after, solve_batch_with_scratch,
+    solve_with_scratch, GenConfig, PlacementProblem, Solution, SolverOptions, SolverScratch,
 };
 use proptest::prelude::*;
 
@@ -319,7 +318,7 @@ fn assert_matches_reference(sol: &Solution, oracle: &reference::RefSolution, lab
 }
 
 /// One differential case: reference vs `solve` vs `solve_with_scratch`
-/// (reused arena) vs `solve_par` (forced sharding), all 20 families.
+/// (reused arena), all 20 families.
 fn run_case(seed: u64, universe: usize, density: f64, scratch: &mut SolverScratch) {
     let config = GenConfig {
         goto_prob: 0.1,
@@ -337,13 +336,6 @@ fn run_case(seed: u64, universe: usize, density: f64, scratch: &mut SolverScratc
 
     let reused = solve_with_scratch(&graph, &problem, &opts, scratch);
     assert_eq!(sol, reused, "{label}: scratch reuse");
-
-    let par_opts = SolverOptions {
-        parallelism: 4,
-        ..Default::default()
-    };
-    let par = solve_par(&graph, &problem, &par_opts);
-    assert_eq!(sol, par, "{label}: solve_par");
 }
 
 /// The headline differential sweep: 500 random programs across universe
@@ -358,9 +350,9 @@ fn new_solver_matches_reference_on_500_random_programs() {
     }
 }
 
-/// AFTER problems: `solve_after` with sharding matches `solve_after`
-/// sequentially, and the reversed-graph BEFORE solve matches the
-/// reference on the reversed graph.
+/// AFTER problems: `solve_after` matches the reference on its own
+/// (possibly poisoned) reversed graph, and the BEFORE solve of the plain
+/// reversal matches the reference too.
 #[test]
 fn after_and_reversed_solves_match() {
     let mut scratch = SolverScratch::new();
@@ -369,13 +361,11 @@ fn after_and_reversed_solves_match() {
         let graph = IntervalGraph::from_program(&program).unwrap();
         let problem = random_problem(seed + 7, &graph, 130, 0.3);
         let seq_opts = SolverOptions::default();
-        let par_opts = SolverOptions {
-            parallelism: 3,
-            ..Default::default()
-        };
-        let seq = solve_after(&graph, &problem, &seq_opts).unwrap();
-        let par = solve_after(&graph, &problem, &par_opts).unwrap();
-        assert_eq!(seq.solution, par.solution, "seed {seed}: after flavors");
+        let after = solve_after(&graph, &problem, &seq_opts).unwrap();
+        let mut ap = problem.clone();
+        ap.resize_nodes(after.reversed.num_nodes());
+        let oracle = reference::solve(&after.reversed, &ap, &seq_opts);
+        assert_matches_reference(&after.solution, &oracle, &format!("after, seed {seed}"));
 
         // Reference comparison on the reversed graph directly.
         let rg = reversed_graph(&graph).unwrap();
@@ -388,8 +378,7 @@ fn after_and_reversed_solves_match() {
 }
 
 /// Solver options that alter control decisions (poisoning) still agree
-/// with the reference and stay shard-invariant: the schedule is
-/// data-independent, so sharding commutes with poisoning.
+/// with the reference.
 #[test]
 fn no_hoist_options_stay_bit_identical() {
     for seed in 0..60u64 {
@@ -403,16 +392,6 @@ fn no_hoist_options_stay_bit_identical() {
         let oracle = reference::solve(&graph, &problem, &opts);
         let sol = solve(&graph, &problem, &opts);
         assert_matches_reference(&sol, &oracle, &format!("no-hoist, seed {seed}"));
-        let par = solve_par(
-            &graph,
-            &problem,
-            &SolverOptions {
-                no_zero_trip_hoist: true,
-                parallelism: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(sol, par, "no-hoist seed {seed}: solve_par");
     }
 }
 
@@ -420,13 +399,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Randomized shapes and densities beyond the fixed sweep: reference,
-    /// sequential, scratch-reusing, and sharded solves all agree.
+    /// fresh and scratch-reusing solves all agree.
     #[test]
     fn differential_holds_on_arbitrary_cases(
         pseed in 0u64..50_000,
         universe in 1usize..200,
         density in 0u32..100,
-        shards in 2usize..6,
     ) {
         let program = random_program(pseed, &GenConfig { goto_prob: 0.05, ..Default::default() });
         let graph = IntervalGraph::from_program(&program).unwrap();
@@ -435,8 +413,8 @@ proptest! {
         let oracle = reference::solve(&graph, &problem, &opts);
         let sol = solve(&graph, &problem, &opts);
         assert_matches_reference(&sol, &oracle, &format!("prop seed {pseed}"));
-        let par = solve_par(&graph, &problem, &SolverOptions { parallelism: shards, ..Default::default() });
-        prop_assert!(sol == par, "prop seed {pseed}: shards {shards}");
+        let reused = solve_with_scratch(&graph, &problem, &opts, &mut SolverScratch::new());
+        prop_assert!(sol == reused, "prop seed {pseed}: scratch");
     }
 }
 
@@ -448,13 +426,12 @@ fn solve_does_not_mutate_the_problem() {
     let problem: PlacementProblem = random_problem(13, &graph, 100, 0.4);
     let snapshot = problem.clone();
     let _ = solve(&graph, &problem, &SolverOptions::default());
-    let _ = solve_par(
+    let _ = solve_after(&graph, &problem, &SolverOptions::default());
+    let _ = solve_batch_with_scratch(
         &graph,
         &problem,
-        &SolverOptions {
-            parallelism: 2,
-            ..Default::default()
-        },
+        &SolverOptions::default(),
+        &mut SolverScratch::new(),
     );
     assert_eq!(problem, snapshot);
 }

@@ -63,9 +63,10 @@ fn tape_matches_interpreter_on_500_random_programs() {
 
 /// The AFTER direction's graphs: the tape must agree with the interpreter
 /// on reversed graphs — jump-in edges extending Eq. 11, synthetic landing
-/// pads, and the §5.3 poisoned fallback — and the full `solve_after`
-/// pipeline (tape-cached both attempts) must match an interpreted replay
-/// of the same reversal.
+/// pads, and the §5.3 poisoned fallback. `solve_after` itself runs on the
+/// interpreter, so the tape is replayed directly on the graph it solved
+/// (`after.reversed`, poisoned when the fallback fired) as well as on a
+/// plain reversal and a poisoned copy of it.
 #[test]
 fn tape_matches_interpreter_on_reversed_graphs() {
     let mut scratch = SolverScratch::new();
@@ -75,6 +76,23 @@ fn tape_matches_interpreter_on_reversed_graphs() {
         let graph = IntervalGraph::from_program(&program).unwrap();
         let problem = random_problem(seed + 7, &graph, 130, 0.3);
         let opts = SolverOptions::default();
+
+        let after = solve_after(&graph, &problem, &opts).unwrap();
+        let mut ap = problem.clone();
+        ap.resize_nodes(after.reversed.num_nodes());
+        assert_eq!(
+            after.solution,
+            solve(&after.reversed, &ap, &opts),
+            "after, seed {seed}"
+        );
+        run_case(
+            &after.reversed,
+            &ap,
+            &opts,
+            &mut scratch,
+            &mut out,
+            &format!("after.reversed, seed {seed}"),
+        );
 
         let mut rg = reversed_graph(&graph).unwrap();
         let mut rp = problem.clone();
@@ -137,7 +155,8 @@ fn batch_into_leaves_identical_scratch_state() {
 
 /// The paper's figure programs, BEFORE and AFTER: golden shapes the rest
 /// of the test suite pins in detail, here checked bit-for-bit between the
-/// tape and the interpreter (and through the tape-cached `solve_after`).
+/// tape and the interpreter — AFTER on the graph `solve_after` solved and
+/// on a copy of it with every loop header poisoned.
 #[test]
 fn figure_programs_solve_identically_before_and_after() {
     // Figures 1/2 (branch consumers), 4–10 (straight-line and branch
@@ -185,9 +204,10 @@ fn figure_programs_solve_identically_before_and_after() {
                 &mut out,
                 &format!("figure {fig}, items {items}"),
             );
-            // AFTER through the public pipeline: both its attempts replay
-            // the scratch-cached tape; the result must equal a fresh
-            // interpreted comparison on its own reversed graph.
+            // AFTER through the public pipeline: the result must equal a
+            // fresh interpreted solve on its own reversed graph, and the
+            // tape replayed on that graph (and on a poisoned copy) must
+            // agree with the interpreter.
             let after = solve_after(&graph, &problem, &opts).unwrap();
             let mut rp = problem.clone();
             rp.resize_nodes(after.reversed.num_nodes());
@@ -195,6 +215,30 @@ fn figure_programs_solve_identically_before_and_after() {
                 after.solution,
                 solve(&after.reversed, &rp, &opts),
                 "figure {fig}, items {items}: after"
+            );
+            run_case(
+                &after.reversed,
+                &rp,
+                &opts,
+                &mut scratch,
+                &mut out,
+                &format!("figure {fig}, items {items}: after.reversed"),
+            );
+            let mut poisoned = after.reversed.clone();
+            let headers: Vec<_> = poisoned
+                .nodes()
+                .filter(|&h| poisoned.is_loop_header(h))
+                .collect();
+            for h in headers {
+                poisoned.poison(h);
+            }
+            run_case(
+                &poisoned,
+                &rp,
+                &opts,
+                &mut scratch,
+                &mut out,
+                &format!("figure {fig}, items {items}: after.reversed poisoned"),
             );
         }
     }

@@ -32,9 +32,8 @@
 //!   workers survive for subsequent batches.
 //!
 //! [`global_pool`] is the process-wide lazily-created instance sized to
-//! the available parallelism; the sharded tape executor in `gnt-core`
-//! and the batch lint front-end in `gnt-analyze` draw from it instead
-//! of spawning.
+//! the available parallelism; the batch lint front-end in `gnt-analyze`
+//! draws from it instead of spawning.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -46,11 +45,6 @@ use std::thread;
 use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Total pool worker threads ever spawned in this process, across all
-/// pools — the regression counter behind
-/// [`WorkerPool::threads_spawned`].
-static THREADS_SPAWNED: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// `(pool identity, worker index)` when the current thread is a pool
@@ -159,6 +153,9 @@ pub struct WorkerPool {
     shared: Arc<PoolShared>,
     workers: usize,
     handles: Vec<thread::JoinHandle<()>>,
+    /// Worker threads this pool has spawned — the regression counter
+    /// behind [`WorkerPool::threads_spawned`].
+    spawned: AtomicUsize,
 }
 
 impl WorkerPool {
@@ -174,10 +171,11 @@ impl WorkerPool {
             }),
             job_ready: Condvar::new(),
         });
+        let spawned = AtomicUsize::new(0);
         let handles = (0..workers)
             .map(|k| {
                 let shared = Arc::clone(&shared);
-                THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+                spawned.fetch_add(1, Ordering::Relaxed);
                 thread::Builder::new()
                     .name(format!("gnt-pool-{k}"))
                     .spawn(move || {
@@ -191,6 +189,7 @@ impl WorkerPool {
             shared,
             workers,
             handles,
+            spawned,
         }
     }
 
@@ -199,11 +198,13 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Total pool worker threads ever spawned in this process, across
-    /// every [`WorkerPool`]. A steady-state batch workload must not grow
-    /// this between batches — the hardening tests pin exactly that.
-    pub fn threads_spawned() -> usize {
-        THREADS_SPAWNED.load(Ordering::Relaxed)
+    /// Worker threads this pool has spawned over its lifetime. A
+    /// steady-state batch workload must not grow this between batches —
+    /// the hardening tests pin exactly that. The count is per pool, so
+    /// pools created elsewhere in the process (concurrently running
+    /// tests, say) never move it.
+    pub fn threads_spawned(&self) -> usize {
+        self.spawned.load(Ordering::Relaxed)
     }
 
     /// Runs `f` with a [`PoolScope`] and blocks until every job spawned
@@ -504,7 +505,7 @@ mod tests {
     #[test]
     fn repeated_batches_do_not_spawn_new_threads() {
         let pool = WorkerPool::new(3);
-        let before = WorkerPool::threads_spawned();
+        let before = pool.threads_spawned();
         let counter = AtomicUsize::new(0);
         for _ in 0..20 {
             pool.scope(|s| {
@@ -517,7 +518,7 @@ mod tests {
         }
         assert_eq!(counter.load(Ordering::Relaxed), 120);
         assert_eq!(
-            WorkerPool::threads_spawned(),
+            pool.threads_spawned(),
             before,
             "steady-state batches must reuse the pool's threads"
         );

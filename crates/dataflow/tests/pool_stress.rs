@@ -22,7 +22,7 @@ fn stress() -> usize {
 #[test]
 fn many_sequential_scopes_reuse_the_same_threads() {
     let pool = WorkerPool::new(4);
-    let before = WorkerPool::threads_spawned();
+    let before = pool.threads_spawned();
     let hits = AtomicUsize::new(0);
     for _ in 0..100 * stress() {
         pool.scope(|s| {
@@ -35,7 +35,7 @@ fn many_sequential_scopes_reuse_the_same_threads() {
     }
     assert_eq!(hits.load(Ordering::Relaxed), 100 * stress() * 8);
     assert_eq!(
-        WorkerPool::threads_spawned(),
+        pool.threads_spawned(),
         before,
         "steady-state scopes must not spawn threads"
     );

@@ -1,10 +1,16 @@
 //! Stress: the whole pipeline (analyze → generate → render → simulate)
 //! on randomly generated programs never panics, never leaves operations
 //! unattributed in the simulator, and never loses to the naive placement
-//! on messages.
+//! on messages; and the solutions a plan carries are the ones the lint
+//! driver reads in place of solving again.
 
+use give_n_take::analyze::audit::{audit_placement, AuditOptions};
+use give_n_take::analyze::placement::{lint_placement, PlacementLintOptions};
 use give_n_take::comm::{analyze, generate, render, CommConfig};
-use give_n_take::core::{random_program, GenConfig};
+use give_n_take::core::{
+    check_balance, check_sufficiency, random_program, shift_off_synthetic, solve, GenConfig,
+    SolverOptions,
+};
 use give_n_take::ir::{Expr, LValue, Program, StmtKind};
 use give_n_take::sim::{simulate, Mode, SimConfig};
 
@@ -89,4 +95,67 @@ fn rendered_placements_reparse_when_free_of_ops() {
             give_n_take::ir::pretty(&program)
         );
     }
+}
+
+/// The lint driver reads `CommPlan::read` and `CommPlan::write` instead of
+/// reversing the graph and solving again, and skips the comparisons of
+/// the solver's placement with itself. This pins what that relies on:
+/// the plan's READ solution is a fresh shifted solve of the analysis's
+/// READ problem, the optimality lint (O2/O3) and the GNT03x audits are
+/// silent on it, and the plan's WRITE solution, as solved, satisfies the
+/// independent verifiers against the coupled WRITE problem.
+#[test]
+fn plan_solutions_are_what_the_lint_driver_reads() {
+    let config = GenConfig::default();
+    let opts = SolverOptions::default();
+    let mut ran = 0;
+    for seed in 0..240u64 {
+        let program = add_array_accesses(&random_program(seed, &config), seed);
+        let Ok(analysis) = analyze(&program, &CommConfig::distributed(&["x"])) else {
+            continue;
+        };
+        let plan = generate(analysis).expect("plan");
+        let graph = &plan.analysis.graph;
+        let read = &plan.analysis.read_problem;
+
+        let mut fresh = solve(graph, read, &opts);
+        shift_off_synthetic(graph, &mut fresh.eager);
+        shift_off_synthetic(graph, &mut fresh.lazy);
+        assert!(
+            plan.read == fresh,
+            "seed {seed}: plan.read is not a fresh solve"
+        );
+
+        let popts = PlacementLintOptions {
+            check_optimality: true,
+            ..Default::default()
+        };
+        let found = lint_placement(graph, read, &plan.read.eager, &plan.read.lazy, &popts);
+        assert!(found.is_empty(), "seed {seed}: {found:?}");
+        let audits = audit_placement(
+            graph,
+            read,
+            &plan.read.eager,
+            &plan.read.lazy,
+            &AuditOptions::default(),
+        );
+        assert!(audits.is_empty(), "seed {seed}: {audits:?}");
+
+        let write = &plan.write;
+        let mut problem = plan.write_problem.clone();
+        problem.resize_nodes(write.reversed.num_nodes());
+        let violations: Vec<_> =
+            check_sufficiency(&write.reversed, &problem, &write.solution.eager, true)
+                .into_iter()
+                .chain(check_balance(
+                    &write.reversed,
+                    &problem,
+                    &write.solution.eager,
+                    &write.solution.lazy,
+                ))
+                .collect();
+        assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+        ran += 1;
+    }
+    assert!(ran >= 200, "enough seeds exercised ({ran})");
 }
