@@ -145,13 +145,12 @@ pub fn lint_batch_on_cached(
                 let result = match cache.and_then(|c| c.get(&source.text, opts)) {
                     Some(report) => Ok(report),
                     None => {
-                        let mut scratch = ScratchPool::global().checkout();
-                        let fresh = gnt_ir::parse(&source.text)
-                            .map_err(LintError::Parse)
-                            .and_then(|program| {
-                                lint_program_with_scratch(&program, opts, &mut scratch)
-                            })
-                            .map(Arc::new);
+                        let fresh = contain_panics(|| {
+                            let mut scratch = ScratchPool::global().checkout();
+                            let program = gnt_ir::parse(&source.text).map_err(LintError::Parse)?;
+                            lint_program_with_scratch(&program, opts, &mut scratch)
+                        })
+                        .map(Arc::new);
                         if let (Some(c), Ok(report)) = (cache, &fresh) {
                             c.insert(&source.text, opts, Arc::clone(report));
                         }
@@ -169,6 +168,22 @@ pub fn lint_batch_on_cached(
         .into_iter()
         .map(|o| o.expect("pool scope joins all jobs"))
         .collect()
+}
+
+/// Runs one file's pipeline, turning a panic inside it into that file's
+/// `LintError::Pipeline("internal error: …")` so the rest of the batch
+/// still completes. The pooled scratches check themselves back in while
+/// unwinding, and every pipeline stage re-validates what it reuses from
+/// them, so nothing the panic interrupted leaks into the next file.
+fn contain_panics<T>(run: impl FnOnce() -> Result<T, LintError>) -> Result<T, LintError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("panic with a non-string payload");
+        Err(LintError::Pipeline(format!("internal error: {message}")))
+    })
 }
 
 #[cfg(test)]
@@ -203,6 +218,26 @@ mod tests {
         assert_eq!(outcomes[0].exit_code(&[]), 0);
         assert_eq!(outcomes[1].exit_code(&[]), 2);
         assert_eq!(batch_exit_code(&outcomes, &[]), 2);
+    }
+
+    #[test]
+    fn a_panicking_pipeline_becomes_that_files_error() {
+        let caught = contain_panics::<()>(|| panic!("graph layer bug {}", 7));
+        match caught {
+            Err(LintError::Pipeline(msg)) => assert_eq!(msg, "internal error: graph layer bug 7"),
+            other => panic!("expected a pipeline error, got {other:?}"),
+        }
+        let caught = contain_panics::<()>(|| panic!("static message"));
+        assert!(
+            matches!(caught, Err(LintError::Pipeline(m)) if m == "internal error: static message")
+        );
+        // Errors and results pass through untouched.
+        assert!(matches!(contain_panics(|| Ok(3)), Ok(3)));
+        let parse = gnt_ir::parse("do i = 1,\n").unwrap_err();
+        assert!(matches!(
+            contain_panics::<()>(|| Err(LintError::Parse(parse))),
+            Err(LintError::Parse(_))
+        ));
     }
 
     #[test]

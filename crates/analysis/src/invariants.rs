@@ -74,7 +74,7 @@ pub fn lint_graph(graph: &IntervalGraph, reversed: bool) -> Vec<Diagnostic> {
                 report(n, format!("{c:?} edge {n} → {s} goes backward in preorder"));
             }
         }
-        for &h in graph.enclosing_headers(n) {
+        for h in graph.enclosing_headers(n) {
             if graph.preorder_index(h) >= graph.preorder_index(n) {
                 report(
                     h,
@@ -89,7 +89,7 @@ pub fn lint_graph(graph: &IntervalGraph, reversed: bool) -> Vec<Diagnostic> {
         let expect = if n == graph.root() {
             0
         } else {
-            1 + graph.enclosing_headers(n).len()
+            1 + graph.enclosing_headers(n).count()
         };
         if graph.level(n) != expect {
             report(

@@ -7,9 +7,19 @@
 //! the interval `T(h)` of every enclosing header `h`, and a header is *not*
 //! a member of its own interval). Irreducible graphs can be repaired by
 //! node splitting ([`make_reducible`]), as the paper suggests via [CM69].
+//!
+//! The loop forest is built in one pass, O(N + E) up to the inverse
+//! Ackermann factor of its union-find: headers are visited innermost
+//! first, each natural loop is walked backwards from its back-edge tails,
+//! and a finished loop collapses into its header so enclosing walks step
+//! over it in one move. The forest stores, per node, only its innermost
+//! loop; per loop, its parent, depth and the `[lo, hi)` range of its
+//! subtree in a preorder of the nesting tree. Membership, and with it
+//! every interval-graph query built on it, is then a range check.
+//! Nothing recurses, so nesting depth costs no stack.
 
 use crate::graph::{Cfg, NodeId};
-use crate::scratch::CfgScratch;
+use crate::scratch::{CfgScratch, CfgScratchPool};
 use std::fmt;
 
 /// Immediate-dominator tree for a [`Cfg`].
@@ -203,14 +213,13 @@ impl LoopId {
     }
 }
 
-/// One natural loop: its header plus the member set `T(header)`
-/// (which, following Tarjan, *excludes* the header itself).
+/// One natural loop: its header and its place in the nesting tree. The
+/// member set `T(header)` (which, following Tarjan, *excludes* the
+/// header itself) is not stored; ask [`LoopForest::is_member`].
 #[derive(Clone, Debug)]
 pub struct LoopInfo {
     /// The unique entry node of the loop.
     pub header: NodeId,
-    /// Loop members, excluding the header.
-    pub members: Vec<NodeId>,
     /// The immediately enclosing loop, if any.
     pub parent: Option<LoopId>,
     /// Nesting depth: 1 for outermost loops.
@@ -218,9 +227,22 @@ pub struct LoopInfo {
 }
 
 /// The loop nesting forest of a reducible CFG.
+///
+/// Loop ids run in ascending body size, ties broken by the loop's first
+/// back edge in [`Cfg::edges`] order, so every loop has a smaller id than
+/// the loops enclosing it. Normalization appends latch nodes in id order,
+/// which is why the order is part of the contract.
+///
+/// Membership is a range check: the loops are numbered in a preorder of
+/// the nesting tree, each loop owns the range `[lo, hi)` of its subtree,
+/// and `n ∈ T(l)` exactly when the innermost loop of `n` lies in `l`'s
+/// range.
 #[derive(Clone, Debug)]
 pub struct LoopForest {
     loops: Vec<LoopInfo>,
+    /// Per loop: its subtree's `[lo, hi)` in the nesting-tree preorder
+    /// (`lo` is the loop's own position).
+    span: Vec<(u32, u32)>,
     /// Per node: the innermost loop having the node as a *member*.
     innermost: Vec<Option<LoopId>>,
     /// Per node: the loop this node heads, if any.
@@ -228,92 +250,145 @@ pub struct LoopForest {
 }
 
 impl LoopForest {
-    /// Computes the loop forest from the back edges of a reducible graph.
+    /// Computes the loop forest from the back edges of a reducible graph
+    /// (natural loops with identical headers are merged). Nodes
+    /// unreachable from the entry belong to no loop.
     ///
     /// # Errors
     ///
     /// Returns [`IrreducibleError`] if the graph is irreducible.
     pub fn compute(cfg: &Cfg, dom: &Dominators) -> Result<LoopForest, IrreducibleError> {
-        let backs = back_edges(cfg, dom)?;
-        Ok(Self::from_back_edges(cfg, &backs))
+        Self::compute_with(cfg, dom, &mut CfgScratchPool::global().checkout())
     }
 
-    /// Builds the forest from an explicit back-edge list (natural loops
-    /// with identical headers are merged).
-    pub fn from_back_edges(cfg: &Cfg, backs: &[(NodeId, NodeId)]) -> LoopForest {
+    /// [`LoopForest::compute`] with caller-provided scratch buffers.
+    ///
+    /// One pass over the headers, innermost first (descending reverse
+    /// postorder: an inner header comes after every header enclosing
+    /// it), walks each natural loop backwards from its back-edge tails.
+    /// A union-find collapses every finished loop into its header, so
+    /// the walk of an enclosing loop steps over a nested loop through its
+    /// header alone, and each node and edge is walked once overall.
+    pub(crate) fn compute_with(
+        cfg: &Cfg,
+        dom: &Dominators,
+        scratch: &mut CfgScratch,
+    ) -> Result<LoopForest, IrreducibleError> {
+        let backs = back_edges(cfg, dom)?;
         let n = cfg.num_nodes();
-        // header node → member marks
-        let mut bodies: Vec<(NodeId, Vec<bool>)> = Vec::new();
-        for &(tail, header) in backs {
-            let entry = bodies.iter().position(|(h, _)| *h == header);
-            let idx = match entry {
-                Some(i) => i,
-                None => {
-                    bodies.push((header, vec![false; n]));
-                    bodies.len() - 1
-                }
-            };
-            // Natural loop: nodes that reach `tail` without passing `header`.
-            let marks = &mut bodies[idx].1;
-            let mut stack = vec![tail];
-            while let Some(x) = stack.pop() {
-                if x == header || marks[x.index()] {
-                    continue;
-                }
-                marks[x.index()] = true;
-                for &p in cfg.preds(x) {
-                    stack.push(p);
-                }
+        let CfgScratch {
+            up,
+            uf,
+            counts: size,
+            work,
+            headers,
+            cursor,
+            ..
+        } = scratch;
+        // Headers in first-back-edge order; `size` doubles as the "seen"
+        // mark until the walks below start counting members.
+        size.clear();
+        size.resize(n, 0);
+        headers.clear();
+        for &(_, h) in &backs {
+            if size[h.index()] == 0 {
+                size[h.index()] = 1;
+                headers.push(h);
             }
         }
-        // Sort by body size so parents (larger) come later; assign ids in
-        // ascending size so an inner loop has a smaller member count.
-        bodies.sort_by_key(|(_, marks)| marks.iter().filter(|&&b| b).count());
-        let mut loops: Vec<LoopInfo> = bodies
+        for &h in headers.iter() {
+            size[h.index()] = 0;
+        }
+        up.clear();
+        up.resize(n, None);
+        uf.clear();
+        uf.extend(0..n as u32);
+        let reachable = |x: NodeId| dom.rpo_index(x) != usize::MAX;
+        for &h in dom.rpo.iter().rev() {
+            let order = dom.rpo_index(h);
+            work.clear();
+            work.extend(
+                cfg.preds(h)
+                    .iter()
+                    .copied()
+                    .filter(|&p| reachable(p) && dom.rpo_index(p) >= order),
+            );
+            while let Some(x) = work.pop() {
+                let r = find(uf, x);
+                if r == h {
+                    continue;
+                }
+                // `r` is a plain member, or the header of a finished inner
+                // loop: the only way into that loop is through `r`.
+                up[r.index()] = Some(h);
+                uf[r.index()] = h.0;
+                size[h.index()] += 1 + size[r.index()];
+                work.extend(cfg.preds(r).iter().copied().filter(|&p| reachable(p)));
+            }
+        }
+        headers.sort_by_key(|h| size[h.index()]);
+        let mut headed = vec![None; n];
+        for (i, &h) in headers.iter().enumerate() {
+            headed[h.index()] = Some(LoopId(i as u32));
+        }
+        let loop_of = |x: NodeId| up[x.index()].and_then(|u| headed[u.index()]);
+        let loops = headers
             .iter()
-            .map(|(h, marks)| LoopInfo {
-                header: *h,
-                members: (0..n as u32)
-                    .map(NodeId)
-                    .filter(|x| marks[x.index()])
-                    .collect(),
-                parent: None,
+            .map(|&h| LoopInfo {
+                header: h,
+                parent: loop_of(h),
                 depth: 0,
             })
             .collect();
-        // Parent: the smallest strictly-larger loop containing this header.
-        for i in 0..loops.len() {
-            let header = loops[i].header;
-            for (j, candidate) in loops.iter().enumerate().skip(i + 1) {
-                if candidate.members.contains(&header) {
-                    loops[i].parent = Some(LoopId(j as u32));
-                    break;
-                }
+        let innermost = cfg.nodes().map(loop_of).collect();
+        Ok(Self::from_tree(loops, innermost, headed, cursor))
+    }
+
+    /// Finishes a forest whose loops are sorted inner-to-outer (every
+    /// parent id larger than its children's) and have their parents set:
+    /// fills in depths and numbers the nesting tree in preorder. O(loops),
+    /// no recursion. Also the entry point for the forest carried over to
+    /// a reversed graph (§5.3).
+    pub(crate) fn from_tree(
+        mut loops: Vec<LoopInfo>,
+        innermost: Vec<Option<LoopId>>,
+        headed: Vec<Option<LoopId>>,
+        cursor: &mut Vec<u32>,
+    ) -> LoopForest {
+        let k = loops.len();
+        // Subtree sizes, children first.
+        let mut span = vec![(0u32, 1u32); k];
+        for i in 0..k {
+            if let Some(p) = loops[i].parent {
+                span[p.index()].1 += span[i].1;
             }
         }
-        for i in 0..loops.len() {
-            let mut depth = 1;
-            let mut cur = loops[i].parent;
-            while let Some(p) = cur {
-                depth += 1;
-                cur = loops[p.index()].parent;
-            }
+        // Positions, parents first; `cursor[p]` is the next free position
+        // inside `p`'s range.
+        cursor.clear();
+        cursor.resize(k, 0);
+        let mut next_root = 0;
+        for i in (0..k).rev() {
+            let size = span[i].1;
+            let (lo, depth) = match loops[i].parent {
+                Some(p) => {
+                    let lo = cursor[p.index()];
+                    cursor[p.index()] += size;
+                    (lo, loops[p.index()].depth + 1)
+                }
+                None => {
+                    let lo = next_root;
+                    next_root += size;
+                    (lo, 1)
+                }
+            };
+            span[i] = (lo, lo + size);
+            cursor[i] = lo + 1;
             loops[i].depth = depth;
-        }
-        // innermost member loop per node: loops are sorted by size, so the
-        // first loop listing the node is innermost.
-        let mut innermost = vec![None; n];
-        let mut headed = vec![None; n];
-        for (i, l) in loops.iter().enumerate() {
-            headed[l.header.index()] = Some(LoopId(i as u32));
-            for &m in &l.members {
-                if innermost[m.index()].is_none() {
-                    innermost[m.index()] = Some(LoopId(i as u32));
-                }
-            }
         }
         LoopForest {
             loops,
+            span,
             innermost,
             headed,
         }
@@ -335,16 +410,22 @@ impl LoopForest {
         self.innermost[n.index()]
     }
 
+    /// `[lo, hi)`: the positions of `l`'s subtree in the nesting-tree
+    /// preorder.
+    pub(crate) fn span(&self, l: LoopId) -> (u32, u32) {
+        self.span[l.index()]
+    }
+
+    /// `true` if `inner` is `outer` or nested inside it.
+    pub(crate) fn encloses(&self, outer: LoopId, inner: LoopId) -> bool {
+        let (lo, hi) = self.span[outer.index()];
+        let pos = self.span[inner.index()].0;
+        lo <= pos && pos < hi
+    }
+
     /// `true` if `n` is a member of loop `l` (members exclude the header).
     pub fn is_member(&self, l: LoopId, n: NodeId) -> bool {
-        let mut cur = self.innermost(n);
-        while let Some(c) = cur {
-            if c == l {
-                return true;
-            }
-            cur = self.loops[c.index()].parent;
-        }
-        false
+        self.innermost(n).is_some_and(|i| self.encloses(l, i))
     }
 
     /// The number of loops enclosing `n` (counting a header's own loop for
@@ -356,63 +437,52 @@ impl LoopForest {
         }
     }
 
-    fn ensure_node(&mut self, n: NodeId) {
+    /// Registers `mid`, a node splitting the edge `m → n`, with the loops
+    /// that should contain it: the loop itself when the split edge was a
+    /// back edge (`n` heads a loop `m` belongs to) or an entry edge (`m`
+    /// heads a loop `n` belongs to), else the deepest loop containing both
+    /// endpoints. The climb from `m` visits only the loops the edge
+    /// leaves.
+    pub(crate) fn adopt(&mut self, m: NodeId, n: NodeId, mid: NodeId) {
+        let target = if let Some(l) = self.loop_headed_by(n).filter(|&l| self.is_member(l, m)) {
+            Some(l)
+        } else if let Some(l) = self.loop_headed_by(m).filter(|&l| self.is_member(l, n)) {
+            Some(l)
+        } else {
+            let mut cur = self.innermost(m);
+            while let Some(l) = cur.filter(|&l| !self.is_member(l, n)) {
+                cur = self.loops[l.index()].parent;
+            }
+            cur
+        };
+        self.adopt_into(target, mid);
+    }
+
+    /// Registers a freshly created node as a member of loop `l` (and so
+    /// of every enclosing loop), or of no loop. Used by normalization when
+    /// it inserts synthetic nodes.
+    pub(crate) fn adopt_into(&mut self, l: Option<LoopId>, n: NodeId) {
         if n.index() >= self.innermost.len() {
             self.innermost.resize(n.index() + 1, None);
             self.headed.resize(n.index() + 1, None);
         }
+        self.innermost[n.index()] = l;
     }
+}
 
-    /// Registers a freshly created node as a member of loop `l` (and,
-    /// transitively, of every enclosing loop). Used by normalization when
-    /// it inserts synthetic nodes.
-    pub(crate) fn adopt_into(&mut self, l: LoopId, n: NodeId) {
-        self.ensure_node(n);
-        self.innermost[n.index()] = Some(l);
-        let mut cur = Some(l);
-        while let Some(c) = cur {
-            self.loops[c.index()].members.push(n);
-            cur = self.loops[c.index()].parent;
-        }
+/// Union-find root of `x`, with path compression.
+fn find(uf: &mut [u32], x: NodeId) -> NodeId {
+    let mut root = x.0;
+    while uf[root as usize] != root {
+        root = uf[root as usize];
     }
-
-    /// Registers a freshly created node that belongs to no loop.
-    pub(crate) fn adopt_outside(&mut self, n: NodeId) {
-        self.ensure_node(n);
-        self.innermost[n.index()] = None;
+    let mut cur = x.0;
+    while uf[cur as usize] != root {
+        let next = uf[cur as usize];
+        uf[cur as usize] = root;
+        cur = next;
     }
-
-    /// Clones the loop structure onto a node universe of size `n`
-    /// (identical node ids). Used to transfer the forward loop forest to
-    /// the reversed graph for AFTER problems (§5.3).
-    pub fn resized_clone(&self, n: usize) -> LoopForest {
-        let mut f = self.clone();
-        f.innermost.resize(n, None);
-        f.headed.resize(n, None);
-        f
-    }
-
-    /// Reassembles a forest from explicit loop records over `num_nodes`
-    /// nodes. `loops` must be sorted inner-to-outer (members of an inner
-    /// loop are a subset of its ancestors'), with `parent`/`depth` already
-    /// consistent.
-    pub fn from_parts(loops: Vec<LoopInfo>, num_nodes: usize) -> LoopForest {
-        let mut innermost = vec![None; num_nodes];
-        let mut headed = vec![None; num_nodes];
-        for (i, l) in loops.iter().enumerate() {
-            headed[l.header.index()] = Some(LoopId(i as u32));
-            for &m in &l.members {
-                if innermost[m.index()].is_none() {
-                    innermost[m.index()] = Some(LoopId(i as u32));
-                }
-            }
-        }
-        LoopForest {
-            loops,
-            innermost,
-            headed,
-        }
-    }
+    NodeId(root)
 }
 
 /// Splits nodes until `cfg` is reducible (identity on reducible graphs).
@@ -501,7 +571,8 @@ mod tests {
         let dom = Dominators::compute(&cfg);
         let forest = LoopForest::compute(&cfg, &dom).unwrap();
         let l = forest.loop_headed_by(a).unwrap();
-        assert_eq!(forest.loops()[l.index()].members, vec![b]);
+        let members: Vec<NodeId> = cfg.nodes().filter(|&x| forest.is_member(l, x)).collect();
+        assert_eq!(members, vec![b]);
         assert!(forest.is_member(l, b));
         assert!(!forest.is_member(l, a));
         assert_eq!(forest.nesting_depth(b), 1);

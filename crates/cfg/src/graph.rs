@@ -249,6 +249,9 @@ impl Cfg {
     pub fn prune_unreachable(&mut self) -> Vec<Option<NodeId>> {
         let mut keep = self.reachable();
         keep[self.exit.index()] = true;
+        if keep.iter().all(|&k| k) {
+            return self.nodes().map(Some).collect();
+        }
         let mut remap: Vec<Option<NodeId>> = vec![None; self.num_nodes()];
         let mut next = 0u32;
         for (i, &k) in keep.iter().enumerate() {

@@ -17,6 +17,20 @@
 //! graph (see `reverse`); jumps *into* loops that arise there are carried
 //! as the extra [`EdgeClass::JumpIn`] class and recorded with the headers
 //! they bypass (§5.3).
+//!
+//! Assembly is linear in the size of its output. Each node keeps its
+//! innermost enclosing header and its LEVEL, each header the nesting-tree
+//! range of its loop (see [`LoopForest`]), so classifying an edge and
+//! [`IntervalGraph::in_interval`] are O(1) range checks, and
+//! [`IntervalGraph::enclosing_headers`] walks the header links on demand.
+//! The walks that emit SYNTHETIC edges and record JUMP-IN sources visit
+//! exactly the loops an edge leaves or enters, one step per emitted edge
+//! or record. Edges are kept in flat per-node rows built by a counting
+//! sort. The preorder is a topological sort with a min-heap on node ids,
+//! the one O(N log N) step. Node ids never depend on any of this:
+//! normalization appends its split and latch nodes in edge order and in
+//! loop-id order, and loop ids are fixed by body size and first back
+//! edge.
 
 use crate::dom::{Dominators, IrreducibleError, LoopForest, LoopId};
 use crate::graph::{Cfg, NodeId, NodeKind, SynthKind};
@@ -125,13 +139,16 @@ pub struct NeighborTable {
 }
 
 impl NeighborTable {
-    fn build(edges: &[Vec<(NodeId, EdgeClass)>], mask: EdgeMask) -> NeighborTable {
-        let mut offsets = Vec::with_capacity(edges.len() + 1);
+    fn build(edges: &Adjacency, mask: EdgeMask) -> NeighborTable {
+        let n = edges.offsets.len() - 1;
+        let mut offsets = Vec::with_capacity(n + 1);
         let mut data = Vec::new();
         offsets.push(0);
-        for row in edges {
+        for i in 0..n {
             data.extend(
-                row.iter()
+                edges
+                    .row(NodeId(i as u32))
+                    .iter()
                     .filter(|(_, c)| mask.matches(*c))
                     .map(|&(m, _)| m),
             );
@@ -158,6 +175,50 @@ impl NeighborTable {
     /// Total number of selected edges across all nodes.
     pub fn num_edges(&self) -> usize {
         self.data.len()
+    }
+}
+
+/// Classified edges packed CSR-style: node `n`'s neighbors, with the
+/// class of the edge to each, are `data[offsets[n]..offsets[n + 1]]`.
+#[derive(Clone, Debug)]
+struct Adjacency {
+    offsets: Vec<u32>,
+    data: Vec<(NodeId, EdgeClass)>,
+}
+
+impl Adjacency {
+    /// Groups `edges` (`(src, dst, class)`) by source, or by sink when
+    /// `incoming`, keeping their order within each row. A counting sort:
+    /// O(N + E).
+    fn build(n: usize, edges: &[(NodeId, NodeId, EdgeClass)], incoming: bool) -> Adjacency {
+        let split = |&(m, d, c): &(NodeId, NodeId, EdgeClass)| {
+            if incoming {
+                (d, (m, c))
+            } else {
+                (m, (d, c))
+            }
+        };
+        // Row ends first, then fill each row back to front.
+        let mut offsets = vec![0u32; n + 1];
+        for e in edges {
+            offsets[split(e).0.index()] += 1;
+        }
+        let mut end = 0;
+        for o in &mut offsets {
+            end += *o;
+            *o = end;
+        }
+        let mut data = vec![(NodeId(0), EdgeClass::Forward); edges.len()];
+        for e in edges.iter().rev() {
+            let (key, entry) = split(e);
+            offsets[key.index()] -= 1;
+            data[offsets[key.index()] as usize] = entry;
+        }
+        Adjacency { offsets, data }
+    }
+
+    fn row(&self, n: NodeId) -> &[(NodeId, EdgeClass)] {
+        &self.data[self.offsets[n.index()] as usize..self.offsets[n.index() + 1] as usize]
     }
 }
 
@@ -204,8 +265,14 @@ impl From<IrreducibleError> for GraphError {
 #[derive(Clone, Debug)]
 struct NodeInfo {
     kind: NodeKind,
-    /// Chain of enclosing loop headers, innermost first (ROOT excluded).
-    enclosing: Vec<NodeId>,
+    /// The innermost enclosing loop header (ROOT excluded); following
+    /// these links gives the whole enclosing chain.
+    up: Option<NodeId>,
+    /// `LEVEL(n)` for every node but ROOT: 1 + loop nesting depth.
+    level: u32,
+    /// For a loop header: the `[lo, hi)` range of its loop in the
+    /// nesting-tree preorder of the loop forest (empty otherwise).
+    span: (u32, u32),
     /// Source of the ENTRY edge reaching this node, if any.
     header: Option<NodeId>,
     /// Children of this node's interval (only headers have any),
@@ -241,9 +308,9 @@ struct NodeInfo {
 #[derive(Clone, Debug)]
 pub struct IntervalGraph {
     nodes: Vec<NodeInfo>,
-    /// `succs[n]` with edge classes; virtual exit→root CYCLE edge included.
-    succs: Vec<Vec<(NodeId, EdgeClass)>>,
-    preds: Vec<Vec<(NodeId, EdgeClass)>>,
+    /// Outgoing and incoming classified edges, SYNTHETIC ones included.
+    succs: Adjacency,
+    preds: Adjacency,
     root: NodeId,
     exit: NodeId,
     preorder: Vec<NodeId>,
@@ -284,7 +351,7 @@ impl IntervalGraph {
     ) -> Result<IntervalGraph, GraphError> {
         cfg.prune_unreachable();
         let dom = Dominators::compute_with(&cfg, scratch);
-        let forest = LoopForest::compute(&cfg, &dom);
+        let forest = LoopForest::compute_with(&cfg, &dom, scratch);
         dom.recycle(scratch);
         let mut forest = forest?;
         normalize(&mut cfg, &mut forest);
@@ -294,16 +361,7 @@ impl IntervalGraph {
     /// Builds the graph from a CFG plus an externally supplied loop
     /// forest, optionally tolerating jumps into loops (reversed graphs,
     /// §5.3). The CFG must already be normalized consistently with the
-    /// forest; this is the entry point used by [`crate::reverse`].
-    pub(crate) fn assemble(
-        cfg: &Cfg,
-        forest: &LoopForest,
-        allow_jump_in: bool,
-    ) -> Result<IntervalGraph, GraphError> {
-        let mut scratch = CfgScratchPool::global().checkout();
-        Self::assemble_with(cfg, forest, allow_jump_in, &mut scratch)
-    }
-
+    /// forest; [`crate::reversed_graph`] enters here too.
     pub(crate) fn assemble_with(
         cfg: &Cfg,
         forest: &LoopForest,
@@ -314,18 +372,16 @@ impl IntervalGraph {
         let root = cfg.entry();
         let exit = cfg.exit();
 
-        let mut nodes: Vec<NodeInfo> = (0..n as u32)
-            .map(|i| {
-                let id = NodeId(i);
-                let mut enclosing = Vec::new();
-                let mut cur = forest.innermost(id);
-                while let Some(l) = cur {
-                    enclosing.push(forest.loops()[l.index()].header);
-                    cur = forest.loops()[l.index()].parent;
-                }
+        let loops = forest.loops();
+        let mut nodes: Vec<NodeInfo> = cfg
+            .nodes()
+            .map(|id| {
+                let inner = forest.innermost(id).map(|l| &loops[l.index()]);
                 NodeInfo {
                     kind: cfg.kind(id),
-                    enclosing,
+                    up: inner.map(|l| l.header),
+                    level: 1 + inner.map_or(0, |l| l.depth as u32),
+                    span: forest.loop_headed_by(id).map_or((0, 0), |l| forest.span(l)),
                     header: None,
                     children: Vec::new(),
                     last_child: None,
@@ -335,41 +391,29 @@ impl IntervalGraph {
             })
             .collect();
 
-        // Classify edges.
-        let mut succs: Vec<Vec<(NodeId, EdgeClass)>> = vec![Vec::new(); n];
-        let mut preds: Vec<Vec<(NodeId, EdgeClass)>> = vec![Vec::new(); n];
-        let mut jumps: Vec<(NodeId, NodeId)> = Vec::new();
+        // Classify edges. Every node's successor and predecessor lists keep
+        // the order edges are recorded in here: CFG edges in CFG order, then
+        // SYNTHETIC edges in the order of the JUMP edges they belong to.
+        let edges = &mut scratch.edges;
+        edges.clear();
         for (m, dst) in cfg.edges() {
-            let class = classify(forest, root, m, dst);
-            match class {
-                Some(EdgeClass::JumpIn) if !allow_jump_in => {
+            let c = classify(forest, m, dst);
+            if c == EdgeClass::JumpIn {
+                if !allow_jump_in {
                     return Err(GraphError::JumpIntoLoop { src: m, dst });
                 }
-                Some(c) => {
-                    if c == EdgeClass::Jump {
-                        jumps.push((m, dst));
+                // Record the source with every interval header the edge
+                // bypasses: availability at those headers must additionally
+                // hold along the jump-in path (Eq. 11 is extended
+                // accordingly; see gnt-core).
+                for l in entered_loops(forest, m, dst) {
+                    let h = loops[l.index()].header;
+                    if h != m {
+                        nodes[h.index()].jump_in_sources.push(m);
                     }
-                    if c == EdgeClass::JumpIn {
-                        // Record the source with every interval header the
-                        // edge bypasses: availability at those headers must
-                        // additionally hold along the jump-in path
-                        // (Eq. 11 is extended accordingly; see gnt-core).
-                        let src_chain = nodes[m.index()].enclosing.clone();
-                        let entered: Vec<NodeId> = nodes[dst.index()]
-                            .enclosing
-                            .iter()
-                            .filter(|h| !src_chain.contains(h) && **h != m)
-                            .copied()
-                            .collect();
-                        for h in entered {
-                            nodes[h.index()].jump_in_sources.push(m);
-                        }
-                    }
-                    succs[m.index()].push((dst, c));
-                    preds[dst.index()].push((m, c));
                 }
-                None => return Err(GraphError::JumpIntoLoop { src: m, dst }),
             }
+            edges.push((m, dst, c));
         }
         // Note: ROOT acts as a header only for the evaluation schedule
         // (CHILDREN(ROOT) = top-level nodes). It heads no Tarjan interval,
@@ -378,29 +422,25 @@ impl IntervalGraph {
         // pin this down.
 
         // SYNTHETIC edges: one per interval left by each JUMP edge.
-        for (m, dst) in jumps {
-            let dst_chain = nodes[dst.index()].enclosing.clone();
-            let left: Vec<NodeId> = nodes[m.index()]
-                .enclosing
-                .iter()
-                .filter(|h| !dst_chain.contains(h))
-                .copied()
-                .collect();
-            for h in left {
-                succs[h.index()].push((dst, EdgeClass::Synthetic));
-                preds[dst.index()].push((h, EdgeClass::Synthetic));
+        for i in 0..edges.len() {
+            let (m, dst, c) = edges[i];
+            if c == EdgeClass::Jump {
+                for l in entered_loops(forest, dst, m) {
+                    edges.push((loops[l.index()].header, dst, EdgeClass::Synthetic));
+                }
             }
         }
+        let succs = Adjacency::build(n, edges, false);
+        let preds = Adjacency::build(n, edges, true);
 
         // HEADER(n) and LASTCHILD(h).
-        for i in 0..n {
-            let id = NodeId(i as u32);
-            for &(p, c) in &preds[i] {
+        for (id, node) in cfg.nodes().zip(nodes.iter_mut()) {
+            for &(p, c) in preds.row(id) {
                 if c == EdgeClass::Entry {
-                    nodes[i].header = Some(p);
+                    node.header = Some(p);
                 }
                 if c == EdgeClass::Cycle {
-                    nodes[i].last_child = Some(nodes[i].last_child.map_or(p, |prev| {
+                    node.last_child = Some(node.last_child.map_or(p, |prev| {
                         debug_assert_eq!(prev, p, "multiple CYCLE edges into {id}");
                         prev
                     }));
@@ -414,8 +454,12 @@ impl IntervalGraph {
         let indeg = &mut scratch.indeg;
         indeg.clear();
         indeg.resize(n, 0);
-        for (i, ps) in preds.iter().enumerate() {
-            indeg[i] = ps.iter().filter(|(_, c)| *c != EdgeClass::Cycle).count();
+        for (i, d) in indeg.iter_mut().enumerate() {
+            *d = preds
+                .row(NodeId(i as u32))
+                .iter()
+                .filter(|(_, c)| *c != EdgeClass::Cycle)
+                .count();
         }
         let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<u32>> =
             std::collections::BinaryHeap::new();
@@ -428,7 +472,7 @@ impl IntervalGraph {
         while let Some(std::cmp::Reverse(i)) = ready.pop() {
             let id = NodeId(i);
             preorder.push(id);
-            for &(s, c) in &succs[i as usize] {
+            for &(s, c) in succs.row(id) {
                 if c == EdgeClass::Cycle {
                     continue;
                 }
@@ -448,21 +492,10 @@ impl IntervalGraph {
         }
 
         // CHILDREN: every non-root node is a child of its innermost header
-        // (or of ROOT); sort by preorder.
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (i, node) in nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
-            if id == root {
-                continue;
-            }
-            let parent = node.enclosing.first().copied().unwrap_or(root);
-            children[parent.index()].push(id);
-        }
-        for c in &mut children {
-            c.sort_by_key(|x| preorder_index[x.index()]);
-        }
-        for (i, c) in children.into_iter().enumerate() {
-            nodes[i].children = c;
+        // (or of ROOT); visiting nodes in preorder keeps each list sorted.
+        for &id in preorder.iter().filter(|&&id| id != root) {
+            let parent = nodes[id.index()].up.unwrap_or(root);
+            nodes[parent.index()].children.push(id);
         }
 
         let g = IntervalGraph {
@@ -474,12 +507,15 @@ impl IntervalGraph {
             preorder,
             preorder_index,
         };
-        g.validate(allow_jump_in)?;
+        if cfg!(debug_assertions) {
+            g.debug_validate(allow_jump_in);
+        }
         Ok(g)
     }
 
-    /// Checks the §3.3/§3.4 invariants; called at construction.
-    fn validate(&self, allow_jump_in: bool) -> Result<(), GraphError> {
+    /// Asserts the §3.3/§3.4 invariants; called at construction in debug
+    /// builds.
+    fn debug_validate(&self, allow_jump_in: bool) {
         for n in self.nodes() {
             // No critical edges among real (CEFJ) edges.
             let out: Vec<_> = self
@@ -492,7 +528,7 @@ impl IntervalGraph {
                         .pred_edges(s)
                         .filter(|(_, c)| EdgeMask::CEFJ.matches(*c))
                         .count();
-                    debug_assert!(
+                    assert!(
                         ins <= 1 || s == self.root,
                         "critical edge {n} → {s} survived normalization"
                     );
@@ -506,7 +542,7 @@ impl IntervalGraph {
                             .pred_edges(s)
                             .filter(|&(p, pc)| EdgeMask::CEF.matches(pc) && p != n)
                             .count();
-                        debug_assert_eq!(other, 0, "jump sink {s} has extra preds");
+                        assert_eq!(other, 0, "jump sink {s} has extra preds");
                     }
                     EdgeClass::Cycle if s != self.root => {
                         // The source of a CYCLE edge has no EFJ succs.
@@ -514,16 +550,15 @@ impl IntervalGraph {
                             .succ_edges(n)
                             .filter(|(_, sc)| EdgeMask::EFJ.matches(*sc))
                             .count();
-                        debug_assert_eq!(extra, 0, "cycle source {n} has EFJ succs");
+                        assert_eq!(extra, 0, "cycle source {n} has EFJ succs");
                     }
                     EdgeClass::JumpIn => {
-                        debug_assert!(allow_jump_in, "JumpIn edge on a forward graph");
+                        assert!(allow_jump_in, "JumpIn edge on a forward graph");
                     }
                     _ => {}
                 }
             }
         }
-        Ok(())
     }
 
     /// The ROOT node (program entry, header of the whole program).
@@ -543,7 +578,7 @@ impl IntervalGraph {
 
     /// Number of edges, including synthetic edges.
     pub fn num_edges(&self) -> usize {
-        self.succs.iter().map(Vec::len).sum()
+        self.succs.data.len()
     }
 
     /// Iterates over all node ids.
@@ -561,7 +596,7 @@ impl IntervalGraph {
         if n == self.root {
             0
         } else {
-            1 + self.nodes[n.index()].enclosing.len()
+            self.nodes[n.index()].level as usize
         }
     }
 
@@ -591,17 +626,33 @@ impl IntervalGraph {
     }
 
     /// The chain of loop headers enclosing `n`, innermost first
-    /// (ROOT excluded).
-    pub fn enclosing_headers(&self, n: NodeId) -> &[NodeId] {
-        &self.nodes[n.index()].enclosing
+    /// (ROOT excluded). Each step is O(1).
+    pub fn enclosing_headers(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(self.nodes[n.index()].up, move |h| self.nodes[h.index()].up)
     }
 
     /// `true` if `n ∈ T(h)` (`h` may be ROOT, whose interval is all nodes).
+    /// O(1): a range check on the loop forest's nesting-tree preorder.
     pub fn in_interval(&self, h: NodeId, n: NodeId) -> bool {
         if h == self.root {
             return n != self.root;
         }
-        self.nodes[n.index()].enclosing.contains(&h)
+        let (lo, hi) = self.nodes[h.index()].span;
+        self.nodes[n.index()].up.is_some_and(|u| {
+            let pos = self.nodes[u.index()].span.0;
+            lo <= pos && pos < hi
+        })
+    }
+
+    /// The innermost loop header enclosing `n` (ROOT excluded).
+    pub(crate) fn innermost_header(&self, n: NodeId) -> Option<NodeId> {
+        self.nodes[n.index()].up
+    }
+
+    /// For a loop header: the `[lo, hi)` range of its loop in the forest's
+    /// nesting-tree preorder.
+    pub(crate) fn loop_span(&self, h: NodeId) -> (u32, u32) {
+        self.nodes[h.index()].span
     }
 
     /// `true` if hoisting into header `h` was forbidden via
@@ -626,17 +677,18 @@ impl IntervalGraph {
 
     /// All outgoing edges of `n` with their classes.
     pub fn succ_edges(&self, n: NodeId) -> impl Iterator<Item = (NodeId, EdgeClass)> + '_ {
-        self.succs[n.index()].iter().copied()
+        self.succs.row(n).iter().copied()
     }
 
     /// All incoming edges of `n` with their classes.
     pub fn pred_edges(&self, n: NodeId) -> impl Iterator<Item = (NodeId, EdgeClass)> + '_ {
-        self.preds[n.index()].iter().copied()
+        self.preds.row(n).iter().copied()
     }
 
     /// `SUCCS^mask(n)`.
     pub fn succs(&self, n: NodeId, mask: EdgeMask) -> impl Iterator<Item = NodeId> + '_ {
-        self.succs[n.index()]
+        self.succs
+            .row(n)
             .iter()
             .filter(move |(_, c)| mask.matches(*c))
             .map(|&(s, _)| s)
@@ -644,7 +696,8 @@ impl IntervalGraph {
 
     /// `PREDS^mask(n)`.
     pub fn preds(&self, n: NodeId, mask: EdgeMask) -> impl Iterator<Item = NodeId> + '_ {
-        self.preds[n.index()]
+        self.preds
+            .row(n)
             .iter()
             .filter(move |(_, c)| mask.matches(*c))
             .map(|&(p, _)| p)
@@ -676,10 +729,10 @@ impl IntervalGraph {
 
     /// The class of edge `m → n`, if present (synthetic edges included).
     pub fn edge_class(&self, m: NodeId, n: NodeId) -> Option<EdgeClass> {
-        self.succs[m.index()]
-            .iter()
+        let row = self.succs.row(m);
+        row.iter()
             .find(|&&(s, c)| s == n && c != EdgeClass::Synthetic)
-            .or_else(|| self.succs[m.index()].iter().find(|&&(s, _)| s == n))
+            .or_else(|| row.iter().find(|&&(s, _)| s == n))
             .map(|&(_, c)| c)
     }
 
@@ -698,22 +751,14 @@ impl IntervalGraph {
     }
 }
 
-/// Classifies `m → dst` given the loop forest. Returns `None` for edges
-/// that are inconsistent with reducibility and not a recognized jump-in.
-fn classify(forest: &LoopForest, root: NodeId, m: NodeId, dst: NodeId) -> Option<EdgeClass> {
-    let chain_of = |x: NodeId| -> Vec<LoopId> {
-        let mut v = Vec::new();
-        let mut cur = forest.innermost(x);
-        while let Some(l) = cur {
-            v.push(l);
-            cur = forest.loops()[l.index()].parent;
-        }
-        v
-    };
+/// Classifies `m → dst` given the loop forest (an edge into a loop that
+/// bypasses its header is a JUMP-IN). O(1): every test is a range check
+/// on the forest.
+fn classify(forest: &LoopForest, m: NodeId, dst: NodeId) -> EdgeClass {
     // CYCLE: m is a member of the loop headed by dst.
     if let Some(l) = forest.loop_headed_by(dst) {
         if forest.is_member(l, m) {
-            return Some(EdgeClass::Cycle);
+            return EdgeClass::Cycle;
         }
     }
     // ENTRY: dst is a member of the loop headed by m.
@@ -725,23 +770,39 @@ fn classify(forest: &LoopForest, root: NodeId, m: NodeId, dst: NodeId) -> Option
     // (CHILDREN, LASTCHILD).
     if let Some(l) = forest.loop_headed_by(m) {
         if forest.is_member(l, dst) {
-            return Some(EdgeClass::Entry);
+            return EdgeClass::Entry;
         }
     }
-    let _ = root;
-    let cm = chain_of(m);
-    let cd = chain_of(dst);
-    let m_extra = cm.iter().any(|l| !cd.contains(l));
-    let d_extra = cd
-        .iter()
-        .any(|l| !cm.contains(l) && forest.loops()[l.index()].header != m);
-    match (m_extra, d_extra) {
-        (false, false) => Some(EdgeClass::Forward),
-        (true, false) => Some(EdgeClass::Jump),
+    // The edge leaves a loop when m's innermost loop does not contain dst,
+    // and enters one when dst's innermost loop does not contain m (that
+    // loop is not headed by m: the ENTRY case is handled above).
+    let leaves = forest
+        .innermost(m)
+        .is_some_and(|l| !forest.is_member(l, dst));
+    let enters = forest
+        .innermost(dst)
+        .is_some_and(|l| !forest.is_member(l, m));
+    match (leaves, enters) {
+        (false, false) => EdgeClass::Forward,
+        (true, false) => EdgeClass::Jump,
         // dst is in a loop that m is not in (and m is not its header):
         // a jump into a loop.
-        (_, true) => Some(EdgeClass::JumpIn),
+        (_, true) => EdgeClass::JumpIn,
     }
+}
+
+/// The loops containing `dst` but not `src`, innermost first: the loops
+/// an edge `src → dst` enters (or, read the other way round, the loops an
+/// edge `dst → src` leaves). The walk costs one step per loop yielded.
+fn entered_loops(
+    forest: &LoopForest,
+    src: NodeId,
+    dst: NodeId,
+) -> impl Iterator<Item = LoopId> + '_ {
+    std::iter::successors(forest.innermost(dst), move |l| {
+        forest.loops()[l.index()].parent
+    })
+    .take_while(move |&l| !forest.is_member(l, src))
 }
 
 /// Normalizes `cfg` for interval analysis: splits critical edges and
@@ -753,7 +814,7 @@ pub(crate) fn normalize(cfg: &mut Cfg, forest: &mut LoopForest) {
     for (m, n) in edges {
         if cfg.succs(m).len() > 1 && cfg.preds(n).len() > 1 {
             let mid = cfg.split_edge(m, n, SynthKind::EdgeSplit);
-            forest.adopt(cfg, m, n, mid);
+            forest.adopt(m, n, mid);
         }
     }
     // 2. Unique CYCLE edge per loop.
@@ -763,7 +824,7 @@ pub(crate) fn normalize(cfg: &mut Cfg, forest: &mut LoopForest) {
             .preds(header)
             .iter()
             .copied()
-            .filter(|&p| forest.is_member(crate::dom::LoopId(li as u32), p))
+            .filter(|&p| forest.is_member(LoopId(li as u32), p))
             .collect();
         // A fresh latch is needed when there are several back edges, or
         // when the single back-edge source has other successors (the
@@ -776,51 +837,7 @@ pub(crate) fn normalize(cfg: &mut Cfg, forest: &mut LoopForest) {
                 cfg.add_edge(t, latch);
             }
             cfg.add_edge(latch, header);
-            forest.adopt_into(crate::dom::LoopId(li as u32), latch);
-        }
-    }
-}
-
-impl LoopForest {
-    /// Registers `mid`, a node splitting the edge `m → n`, with the loops
-    /// that should contain it: the loops containing both endpoints, plus
-    /// the loop itself when the split edge was a back edge (`n` heads a
-    /// loop `m` belongs to) or an entry edge (`m` heads a loop `n` belongs
-    /// to).
-    pub(crate) fn adopt(&mut self, _cfg: &Cfg, m: NodeId, n: NodeId, mid: NodeId) {
-        let target = if let Some(l) = self.loop_headed_by(n).filter(|&l| self.is_member(l, m)) {
-            Some(l) // back edge: latch side lives inside the loop
-        } else if let Some(l) = self.loop_headed_by(m).filter(|&l| self.is_member(l, n)) {
-            Some(l) // entry edge: split node lives inside the loop
-        } else {
-            // Deepest loop containing both endpoints.
-            let mut cur = self.innermost(m);
-            let mut found = None;
-            while let Some(l) = cur {
-                if self.is_member(l, n) || self.loop_headed_by(n) == Some(l) {
-                    found = Some(l);
-                    break;
-                }
-                cur = self.loops()[l.index()].parent;
-            }
-            // Also allow the symmetric case where n's chain contains m's
-            // header-side loops (jump edges land outside: found = loop
-            // containing the *sink*).
-            if found.is_none() {
-                let mut cur = self.innermost(n);
-                while let Some(l) = cur {
-                    if self.is_member(l, m) || self.loop_headed_by(m) == Some(l) {
-                        found = Some(l);
-                        break;
-                    }
-                    cur = self.loops()[l.index()].parent;
-                }
-            }
-            found
-        };
-        match target {
-            Some(l) => self.adopt_into(l, mid),
-            None => self.adopt_outside(mid),
+            forest.adopt_into(Some(LoopId(li as u32)), latch);
         }
     }
 }
@@ -933,7 +950,7 @@ mod tests {
     fn preorder_visits_headers_before_members() {
         let g = graph("do i = 1, N\n  do j = 1, M\n    x(j) = 1\n  enddo\nenddo\nb = 2");
         for n in g.nodes() {
-            for &h in g.enclosing_headers(n) {
+            for h in g.enclosing_headers(n) {
                 assert!(
                     g.preorder_index(h) < g.preorder_index(n),
                     "header {h} must precede member {n}"

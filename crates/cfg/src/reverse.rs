@@ -17,10 +17,17 @@
 //!   ([`IntervalGraph::jump_in_sources`](crate::IntervalGraph::jump_in_sources)),
 //!   so the solver can either extend availability (Eq. 11) along them or
 //!   fall back to §5.3's conservative poisoning.
+//!
+//! Because the interval structure is kept, the reversed loop forest is
+//! read off the forward graph's innermost-header links in O(N) instead of
+//! being recomputed; only the loop ids are renumbered (by member count,
+//! then header id), which fixes the order the reversed normalization
+//! appends its latches in.
 
-use crate::dom::{LoopForest, LoopInfo};
-use crate::graph::Cfg;
+use crate::dom::{LoopForest, LoopId, LoopInfo};
+use crate::graph::{Cfg, NodeId};
 use crate::interval::{normalize, EdgeClass, GraphError, IntervalGraph};
+use crate::scratch::{CfgScratch, CfgScratchPool};
 
 /// Builds the reversed interval graph of `g` for solving AFTER problems.
 ///
@@ -46,6 +53,7 @@ use crate::interval::{normalize, EdgeClass, GraphError, IntervalGraph};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn reversed_graph(g: &IntervalGraph) -> Result<IntervalGraph, GraphError> {
+    let mut scratch = CfgScratchPool::global().checkout();
     // 1. Reversed CFG over the same node ids: flip every real (CEFJ) edge,
     //    skipping synthetic edges and the virtual exit→ROOT cycle edge
     //    (both are artifacts re-derived below).
@@ -61,40 +69,64 @@ pub fn reversed_graph(g: &IntervalGraph) -> Result<IntervalGraph, GraphError> {
     }
 
     // 2. Transfer the loop forest: identical headers and member sets.
-    let mut loops: Vec<LoopInfo> = g
-        .nodes()
-        .filter(|&n| g.is_loop_header(n))
-        .map(|h| LoopInfo {
-            header: h,
-            members: g
-                .nodes()
-                .filter(|&n| g.enclosing_headers(n).contains(&h))
-                .collect(),
-            parent: None,
-            depth: g.level(h),
-        })
-        .collect();
-    loops.sort_by_key(|l| l.members.len());
-    // Parent links by membership of headers.
-    let parents: Vec<Option<usize>> = loops
-        .iter()
-        .map(|l| {
-            loops
-                .iter()
-                .position(|outer| outer.members.contains(&l.header))
-        })
-        .collect();
-    for (i, p) in parents.into_iter().enumerate() {
-        loops[i].parent = p.map(|j| crate::dom::LoopId(j as u32));
-    }
-    let mut forest = LoopForest::from_parts(loops, cfg.num_nodes());
+    let mut forest = reversed_forest(g, &mut scratch);
 
     // 3. Normalize the reversed graph (critical edges, unique latch).
     normalize(&mut cfg, &mut forest);
 
     // 4. Assemble with jump-in edges tolerated; they poison the loops they
     //    enter (§5.3).
-    IntervalGraph::assemble(&cfg, &forest, true)
+    IntervalGraph::assemble_with(&cfg, &forest, true, &mut scratch)
+}
+
+/// The loop forest of `g` carried over to its reversal in O(N): the same
+/// headers, member sets and parents, read off `g`'s innermost-header
+/// links. Loop ids are renumbered in ascending member count on `g`
+/// (normalization nodes included), ties by header id: the order the
+/// reversed normalization appends its latches in. Member counts come from
+/// `g`'s nesting-tree ranges, which number every loop's members
+/// contiguously.
+fn reversed_forest(g: &IntervalGraph, scratch: &mut CfgScratch) -> LoopForest {
+    let n = g.num_nodes();
+    let CfgScratch {
+        counts,
+        headers,
+        cursor,
+        ..
+    } = scratch;
+    headers.clear();
+    headers.extend(g.nodes().filter(|&h| g.is_loop_header(h)));
+    // Members per preorder position of their innermost loop, as prefix
+    // sums: a loop's member count is the sum over its range.
+    let slots = headers.iter().map(|&h| g.loop_span(h).1).max().unwrap_or(0);
+    counts.clear();
+    counts.resize(slots as usize + 1, 0);
+    for x in g.nodes() {
+        if let Some(u) = g.innermost_header(x) {
+            counts[g.loop_span(u).0 as usize + 1] += 1;
+        }
+    }
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
+    headers.sort_by_key(|&h| {
+        let (lo, hi) = g.loop_span(h);
+        counts[hi as usize] - counts[lo as usize]
+    });
+    let mut headed = vec![None; n];
+    for (i, &h) in headers.iter().enumerate() {
+        headed[h.index()] = Some(LoopId(i as u32));
+    }
+    let loop_of = |x: NodeId| g.innermost_header(x).and_then(|u| headed[u.index()]);
+    let loops = headers
+        .iter()
+        .map(|&h| LoopInfo {
+            header: h,
+            parent: loop_of(h),
+            depth: 0,
+        })
+        .collect();
+    LoopForest::from_tree(loops, g.nodes().map(loop_of).collect(), headed, cursor)
 }
 
 /// Creates a bare CFG with the same node set as `g`, entry at `g.exit()`
@@ -140,8 +172,8 @@ mod tests {
         assert!(r.is_loop_header(header));
         // The original body node is still a member.
         for n in g.nodes() {
-            if g.enclosing_headers(n).contains(&header) {
-                assert!(r.enclosing_headers(n).contains(&header));
+            if g.in_interval(header, n) {
+                assert!(r.in_interval(header, n));
             }
         }
         // Reversed ENTRY edge: header → original latch side.
@@ -197,7 +229,7 @@ mod tests {
         let g = fwd("do i = 1, N\n  do j = 1, M\n    x(j) = 1\n  enddo\nenddo\nc = 1");
         let r = reversed_graph(&g).unwrap();
         for n in r.nodes() {
-            for &h in r.enclosing_headers(n) {
+            for h in r.enclosing_headers(n) {
                 assert!(r.preorder_index(h) < r.preorder_index(n));
             }
         }

@@ -2,8 +2,9 @@
 //!
 //! Lowering a program and assembling its [`crate::IntervalGraph`] churns
 //! through a set of short-lived buffers — the dominator DFS worklist,
-//! reverse-postorder tables, the interval scheduler's indegree array,
-//! the lowering goto-patch tables. Under batch linting the front end
+//! reverse-postorder tables, the loop-nesting pass's union-find and
+//! worklist, the interval scheduler's indegree array, the lowering
+//! goto-patch tables. Under batch linting the front end
 //! runs thousands of times per second, and those allocations dominate
 //! its profile. A [`CfgScratch`] keeps the buffers alive between runs;
 //! the [`CfgScratchPool`] shares warm scratches across pipeline workers
@@ -34,7 +35,19 @@ pub struct CfgScratch {
     pub(crate) rpo: Vec<NodeId>,
     pub(crate) rpo_index: Vec<usize>,
     pub(crate) idom: Vec<Option<NodeId>>,
-    // Interval assembly: preorder scheduling indegrees.
+    // Loop forest: per-node innermost enclosing header, union-find
+    // parents, body sizes (reused as per-slot member counts when the
+    // forest is carried over to a reversed graph), the walk's worklist,
+    // the headers in id order and the preorder-numbering cursors.
+    pub(crate) up: Vec<Option<NodeId>>,
+    pub(crate) uf: Vec<u32>,
+    pub(crate) counts: Vec<u32>,
+    pub(crate) work: Vec<NodeId>,
+    pub(crate) headers: Vec<NodeId>,
+    pub(crate) cursor: Vec<u32>,
+    // Interval assembly: the classified edge list and the preorder
+    // scheduling indegrees.
+    pub(crate) edges: Vec<(NodeId, NodeId, crate::EdgeClass)>,
     pub(crate) indeg: Vec<usize>,
     // Lowering: label resolution for goto patching.
     pub(crate) label_node: HashMap<Label, NodeId>,

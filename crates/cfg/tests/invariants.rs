@@ -52,7 +52,7 @@ fn check_invariants(g: &IntervalGraph, reversed: bool) -> Result<(), String> {
                 return Err(format!("preorder violated on {n} → {s}"));
             }
         }
-        for &h in g.enclosing_headers(n) {
+        for h in g.enclosing_headers(n) {
             if g.preorder_index(h) >= g.preorder_index(n) {
                 return Err(format!("header {h} not before member {n}"));
             }
@@ -64,7 +64,7 @@ fn check_invariants(g: &IntervalGraph, reversed: bool) -> Result<(), String> {
         let expect = if n == g.root() {
             0
         } else {
-            1 + g.enclosing_headers(n).len()
+            1 + g.enclosing_headers(n).count()
         };
         if g.level(n) != expect {
             return Err(format!("level({n}) = {} ≠ {expect}", g.level(n)));
