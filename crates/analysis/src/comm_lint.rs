@@ -25,7 +25,7 @@
 use crate::diag::Diagnostic;
 use gnt_cfg::{EdgeClass, NodeId};
 use gnt_comm::{CommOp, CommPlan, OpKind};
-use gnt_core::{enumerate_paths, path_has_zero_trip};
+use gnt_core::{enumerate_paths, path_has_zero_trip, Path};
 use gnt_dataflow::ItemId;
 use gnt_sections::DataRef;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -257,10 +257,12 @@ pub fn lint_plan(plan: &CommPlan, opts: &CommLintOptions) -> Vec<Diagnostic> {
 
     // Replay the plan along bounded paths. Non-zero-trip paths first so
     // an error shadows the same finding rediscovered on a zero-trip path.
-    let mut paths = enumerate_paths(graph, opts.max_edge_visits, opts.max_paths);
-    paths.sort_by_key(|p| path_has_zero_trip(graph, p));
-    for path in &paths {
-        let zero = path_has_zero_trip(graph, path);
+    let (plain, zero_trip): (Vec<Path>, Vec<Path>) =
+        enumerate_paths(graph, opts.max_edge_visits, opts.max_paths)
+            .into_iter()
+            .partition(|p| !path_has_zero_trip(graph, p));
+    let tagged = plain.iter().map(|p| (false, p));
+    for (zero, path) in tagged.chain(zero_trip.iter().map(|p| (true, p))) {
         if zero && !opts.zero_trip {
             continue;
         }

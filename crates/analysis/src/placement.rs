@@ -11,14 +11,15 @@
 //! problem: one stable code per failure shape of Figures 4–10.
 
 use crate::diag::Diagnostic;
-use gnt_cfg::{CfgFlow, IntervalGraph, NodeId};
+use gnt_cfg::{CfgFlow, EdgeClass, IntervalGraph, NodeId};
 use gnt_core::{
     check_balance, check_path, check_sufficiency, enumerate_paths, path_has_zero_trip,
     shift_off_synthetic, solve_with_scratch, FlavorSolution, PlacementProblem, ScratchPool,
     SolverOptions, SolverScratch, Violation,
 };
 use gnt_dataflow::{BitSet, Direction, FlowGraph, GenKillProblem, Meet};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Options for [`lint_placement`].
 #[derive(Clone, Debug)]
@@ -258,120 +259,18 @@ pub fn lint_placement_with_scratch(
         }
     }
 
-    // O1: no production start while the item is must-available. This
-    // replays the edge-aware slot semantics of [`check_path`] as a
-    // forward must-dataflow over the interval-graph *edges*: `avail` is
-    // set by completed (lazy) productions and GIVEs, killed only by
-    // STEALs, a header's `RES_in` does not re-fire on its CYCLE edge,
-    // and a header's `RES_out` fires only toward FORWARD/JUMP
-    // successors — so a header's production never leaks into its own
-    // body as availability. A production point is flagged only when
-    // *every* firing occurrence of it is redundant.
-    {
-        use gnt_cfg::EdgeClass;
-        let exits =
-            |c: EdgeClass| matches!(c, EdgeClass::Forward | EdgeClass::Jump | EdgeClass::JumpIn);
-        // Edge list mirroring `CfgFlow::from_interval` (no synthetic
-        // edges, no virtual CYCLE edge into the root).
-        let mut edges: Vec<(usize, usize, EdgeClass)> = Vec::new();
-        let mut in_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for m in graph.nodes() {
-            for (s, c) in graph.succ_edges(m) {
-                if c == EdgeClass::Synthetic || (c == EdgeClass::Cycle && s == graph.root()) {
-                    continue;
-                }
-                let id = edges.len();
-                edges.push((m.index(), s.index(), c));
-                out_edges[m.index()].push(id);
-                in_edges[s.index()].push(id);
-            }
-        }
-        // Availability right after node `i`'s statement when entered in
-        // `state`: lazy RES_in (unless re-entered on the CYCLE edge),
-        // then TAKE and STEAL both end it. Killing at TAKE is stricter
-        // than `check_path`'s replay on purpose: consumption re-justifies
-        // later production, so only productions that no consumer
-        // separates from prior availability are *definitely* redundant.
-        let mid = |i: usize, state: &BitSet, on_cycle: bool| {
-            let mut s = state.clone();
-            if !on_cycle {
-                s.union_with(&lazy.res_in[i]);
-            }
-            s.subtract_with(&problem.take_init[i]);
-            s.subtract_with(&problem.steal_init[i]);
-            s
-        };
-        // Meet over all entries of `i` of the post-statement state; the
-        // root's boundary is "nothing available".
-        let mid_meet = |i: usize, state: &[BitSet]| {
-            if in_edges[i].is_empty() {
-                return mid(i, &BitSet::new(cap), false);
-            }
-            let mut acc = BitSet::full(cap);
-            for &e in &in_edges[i] {
-                acc.intersect_with(&mid(i, &state[e], edges[e].2 == EdgeClass::Cycle));
-            }
-            acc
-        };
-        // Optimistic fixpoint: start full, intersect downwards.
-        let mut state: Vec<BitSet> = vec![BitSet::full(cap); edges.len()];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (i, oes) in out_edges.iter().enumerate() {
-                let m = mid_meet(i, &state);
-                for &e in oes {
-                    let mut s = m.clone();
-                    if exits(edges[e].2) {
-                        s.union_with(&lazy.res_out[i]);
-                    }
-                    if s != state[e] {
-                        state[e] = s;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            for item in eager.res_in[i].iter() {
-                // RES_in fires on every non-CYCLE entry; redundant only
-                // if the item is available on all of them.
-                let firing: Vec<usize> = in_edges[i]
-                    .iter()
-                    .copied()
-                    .filter(|&e| edges[e].2 != EdgeClass::Cycle)
-                    .collect();
-                if !firing.is_empty() && firing.iter().all(|&e| state[e].contains(item)) {
-                    let d = Diagnostic::warning(
-                        "GNT004",
-                        format!(
-                            "{} is re-produced here although it is still available",
-                            opts.name(item)
-                        ),
-                    )
-                    .at(NodeId(i as u32));
-                    push(&mut out, d, item);
-                }
-            }
-            for item in eager.res_out[i].iter() {
-                // RES_out fires toward FORWARD/JUMP successors, over the
-                // post-statement state of whichever entry was taken.
-                if out_edges[i].iter().any(|&e| exits(edges[e].2))
-                    && mid_meet(i, &state).contains(item)
-                {
-                    let d = Diagnostic::warning(
-                        "GNT004",
-                        format!(
-                            "{} is re-produced here although it is still available",
-                            opts.name(item)
-                        ),
-                    )
-                    .at(NodeId(i as u32));
-                    push(&mut out, d, item);
-                }
-            }
-        }
+    // O1: no production start while the item is must-available.
+    let (redundant, _) = redundant_productions(graph, problem, eager, lazy);
+    for (node, item) in redundant {
+        let d = Diagnostic::warning(
+            "GNT004",
+            format!(
+                "{} is re-produced here although it is still available",
+                opts.name(item)
+            ),
+        )
+        .at(node);
+        push(&mut out, d, item);
     }
 
     // Zero-trip advisory pass: strict replay of zero-trip paths. The
@@ -482,4 +381,303 @@ pub fn lint_placement_with_scratch(
         )
     });
     out
+}
+
+/// `true` for the interval-graph edges [`CfgFlow::from_interval`] keeps:
+/// no synthetic edges and no virtual CYCLE edge into the root. `into`
+/// is the edge's sink.
+fn is_real(graph: &IntervalGraph, into: NodeId, class: EdgeClass) -> bool {
+    class != EdgeClass::Synthetic && !(class == EdgeClass::Cycle && into == graph.root())
+}
+
+/// `true` for the edge classes a header's `RES_out` fires toward.
+fn exits(class: EdgeClass) -> bool {
+    matches!(
+        class,
+        EdgeClass::Forward | EdgeClass::Jump | EdgeClass::JumpIn
+    )
+}
+
+/// `true` if bit `item` is set in `words`.
+fn has(words: &[u64], item: usize) -> bool {
+    words[item / 64] >> (item % 64) & 1 != 0
+}
+
+/// The O1 (GNT004) pass: eager production points that fire while their
+/// item is must-available, as `(node, item)` in node-index order with a
+/// node's `RES_in` items before its `RES_out` items, plus the number of
+/// node evaluations the fixpoint took.
+///
+/// This replays the edge-aware slot semantics of [`check_path`] as a
+/// forward must-dataflow over the real interval-graph edges.
+/// Availability is set by completed (lazy) productions and killed by
+/// STEALs. A header's `RES_in` does not re-fire on its CYCLE edge, and a
+/// header's `RES_out` fires only toward FORWARD/JUMP successors, so a
+/// header's production never leaks into its own body as availability.
+/// A production point is flagged only when *every* firing occurrence of
+/// it is redundant.
+///
+/// The state kept is `mid[i]`: availability right after node `i`'s
+/// statement, met over all entries of `i`. An edge `i → s` carries
+/// `mid[i]`, plus `lazy.res_out[i]` on a FORWARD/JUMP edge, so edge
+/// states are never stored. Entering `i` adds `lazy.res_in[i]` unless
+/// the edge is a CYCLE edge; then TAKE and STEAL both end availability.
+/// Killing at TAKE is stricter than `check_path`'s replay on purpose:
+/// consumption re-justifies later production, so only productions that
+/// no consumer separates from prior availability are *definitely*
+/// redundant. The root's boundary is "nothing available".
+///
+/// Every `mid` starts full and every transfer is monotone, so any
+/// chaotic iteration reaches the same greatest fixpoint. Each node is
+/// evaluated once in preorder; after that a node is re-evaluated only
+/// when one of its in-edge states changed, lowest preorder position
+/// first. All buffers are allocated once per call.
+fn redundant_productions(
+    graph: &IntervalGraph,
+    problem: &PlacementProblem,
+    eager: &FlavorSolution,
+    lazy: &FlavorSolution,
+) -> (Vec<(NodeId, usize)>, usize) {
+    let n = graph.num_nodes();
+    let full = BitSet::full(problem.universe_size);
+    let full = full.words();
+    let words = full.len();
+    let mut mids: Vec<u64> = full.repeat(n);
+    let mut acc = vec![0u64; words];
+    let mut flipped = vec![0u64; words];
+
+    // Pending nodes by preorder position: every position at or past
+    // `next` (the first sweep), plus those in `heap` (all below `next`).
+    let order = graph.preorder();
+    let mut queued = vec![true; n];
+    let mut heap: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+    let mut next = 0;
+    let mut evaluations = 0;
+    loop {
+        let pos = match heap.pop() {
+            Some(Reverse(pos)) => pos,
+            None if next < n => {
+                next += 1;
+                next - 1
+            }
+            None => break,
+        };
+        queued[pos] = false;
+        evaluations += 1;
+        let v = order[pos];
+        let i = v.index();
+        let res_in = lazy.res_in[i].words();
+        acc.copy_from_slice(full);
+        let mut entered = false;
+        for (p, c) in graph.pred_edges(v) {
+            if !is_real(graph, v, c) {
+                continue;
+            }
+            entered = true;
+            let pm = &mids[p.index() * words..][..words];
+            let out = lazy.res_out[p.index()].words();
+            for k in 0..words {
+                let mut e = pm[k];
+                if exits(c) {
+                    e |= out[k];
+                }
+                if c != EdgeClass::Cycle {
+                    e |= res_in[k];
+                }
+                acc[k] &= e;
+            }
+        }
+        if !entered {
+            acc.copy_from_slice(res_in);
+        }
+        let take = problem.take_init[i].words();
+        let steal = problem.steal_init[i].words();
+        for k in 0..words {
+            acc[k] &= !(take[k] | steal[k]);
+        }
+        let mid = &mut mids[i * words..][..words];
+        if *mid == *acc {
+            continue;
+        }
+        for k in 0..words {
+            flipped[k] = mid[k] ^ acc[k];
+        }
+        mid.copy_from_slice(&acc);
+        let out = lazy.res_out[i].words();
+        for (s, c) in graph.succ_edges(v) {
+            if !is_real(graph, s, c) {
+                continue;
+            }
+            // A FORWARD/JUMP edge changes only where RES_out does not
+            // cover the flipped bits.
+            let changed = !exits(c) || flipped.iter().zip(out).any(|(f, o)| f & !o != 0);
+            let q = graph.preorder_index(s);
+            if changed && !queued[q] {
+                queued[q] = true;
+                heap.push(Reverse(q));
+            }
+        }
+    }
+
+    let mut flagged = Vec::new();
+    for v in graph.nodes() {
+        let i = v.index();
+        if !eager.res_in[i].is_empty() {
+            // RES_in fires on every non-CYCLE entry; redundant only if
+            // the item is available on all of them.
+            acc.copy_from_slice(full);
+            let mut firing = false;
+            for (p, c) in graph.pred_edges(v) {
+                if !is_real(graph, v, c) || c == EdgeClass::Cycle {
+                    continue;
+                }
+                firing = true;
+                let pm = &mids[p.index() * words..][..words];
+                let out = lazy.res_out[p.index()].words();
+                for k in 0..words {
+                    acc[k] &= if exits(c) { pm[k] | out[k] } else { pm[k] };
+                }
+            }
+            if firing {
+                flagged.extend(
+                    eager.res_in[i]
+                        .iter()
+                        .filter(|&item| has(&acc, item))
+                        .map(|item| (v, item)),
+                );
+            }
+        }
+        // RES_out fires toward FORWARD/JUMP successors, over the
+        // post-statement state of whichever entry was taken.
+        if !eager.res_out[i].is_empty() && graph.succ_edges(v).any(|(_, c)| exits(c)) {
+            let mid = &mids[i * words..][..words];
+            flagged.extend(
+                eager.res_out[i]
+                    .iter()
+                    .filter(|&item| has(mid, item))
+                    .map(|item| (v, item)),
+            );
+        }
+    }
+    (flagged, evaluations)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gnt_cfg::{Cfg, NodeKind, SynthKind};
+    use gnt_core::sized_program;
+
+    /// A `do` nest of `depth` loops shaped as the lowering shapes it,
+    /// built as a raw `Cfg`: header `h_k` → statement `s_k` → `h_{k+1}`,
+    /// the inner header exiting back to the outer one.
+    fn do_nest_cfg(depth: usize) -> Cfg {
+        let mut cfg = Cfg::new();
+        let stmt = NodeKind::Synthetic(SynthKind::EdgeSplit);
+        let mut headers: Vec<NodeId> = Vec::with_capacity(depth);
+        let mut prev = cfg.entry();
+        for _ in 0..depth {
+            let h = cfg.add_node(stmt);
+            let s = cfg.add_node(stmt);
+            cfg.add_edge(prev, h);
+            cfg.add_edge(h, s);
+            headers.push(h);
+            prev = s;
+        }
+        cfg.add_edge(prev, headers[depth - 1]);
+        for k in (1..depth).rev() {
+            cfg.add_edge(headers[k], headers[k - 1]);
+        }
+        cfg.add_edge(headers[0], cfg.exit());
+        cfg
+    }
+
+    /// `loops` sequential one-statement-body `do` loops, parsed.
+    fn flat_chain(loops: usize) -> IntervalGraph {
+        let src: String = (0..loops)
+            .map(|k| format!("do i{k} = 1, N\n  y(i{k}) = ...\n  ... = x(a(i{k}))\nenddo\n"))
+            .collect();
+        IntervalGraph::from_program(&gnt_ir::parse(&src).unwrap()).unwrap()
+    }
+
+    fn empty_flavor(n: usize, cap: usize) -> FlavorSolution {
+        let sets = vec![BitSet::new(cap); n];
+        FlavorSolution {
+            given_in: sets.clone(),
+            given: sets.clone(),
+            given_out: sets.clone(),
+            res_in: sets.clone(),
+            res_out: sets,
+        }
+    }
+
+    /// Node evaluations of the O1 pass, and `N + E` over the real edges.
+    /// Every item is produced at the root. Item 0 is consumed only at
+    /// the last node in preorder (in a nest, the innermost statement), so
+    /// its loss must travel back around every enclosing loop: a
+    /// round-robin sweep needs one pass per nesting level for that.
+    /// Items 1 and 2 are cut at scattered consumers, kills and header
+    /// exits.
+    fn evaluations(graph: &IntervalGraph) -> (usize, usize) {
+        let n = graph.num_nodes();
+        let cap = 3;
+        let mut problem = PlacementProblem::new(n, cap);
+        let mut eager = empty_flavor(n, cap);
+        let mut lazy = empty_flavor(n, cap);
+        for item in 0..cap {
+            eager.res_in[graph.root().index()].insert(item);
+            lazy.res_in[graph.root().index()].insert(item);
+        }
+        let last = graph.preorder()[n - 1];
+        problem.take_init[last.index()].insert(0);
+        for v in graph.nodes() {
+            let i = v.index();
+            if i % 7 == 3 {
+                problem.take_init[i].insert(1);
+            }
+            if i % 13 == 5 {
+                problem.steal_init[i].insert(1);
+            }
+            if graph.is_loop_header(v) {
+                lazy.res_out[i].insert(2);
+                eager.res_out[i].insert(2);
+                if i % 3 == 0 {
+                    problem.take_init[i].insert(2);
+                }
+            }
+        }
+        let (_, evaluations) = redundant_productions(graph, &problem, &eager, &lazy);
+        let edges = graph
+            .nodes()
+            .flat_map(|v| graph.succ_edges(v))
+            .filter(|&(s, c)| is_real(graph, s, c))
+            .count();
+        (evaluations, n + edges)
+    }
+
+    #[test]
+    fn o1_pass_evaluates_each_node_a_bounded_number_of_times() {
+        let shapes = [
+            (
+                "2 000-deep nest",
+                IntervalGraph::from_cfg(do_nest_cfg(2_000)).unwrap(),
+            ),
+            ("3 000-loop chain", flat_chain(3_000)),
+            (
+                "sized_program(3200)",
+                IntervalGraph::from_program(&sized_program(3_200)).unwrap(),
+            ),
+        ];
+        for (name, graph) in &shapes {
+            let (evaluations, size) = evaluations(graph);
+            assert!(
+                evaluations >= graph.num_nodes(),
+                "{name}: every node is evaluated"
+            );
+            assert!(
+                evaluations <= 3 * size,
+                "{name}: {evaluations} evaluations for N+E = {size}"
+            );
+        }
+    }
 }

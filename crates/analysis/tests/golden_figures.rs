@@ -133,6 +133,65 @@ fn fig7_redundant_is_gnt004() {
     assert_single(&diags, "GNT004", src, "b = 2");
 }
 
+/// O1 around a loop: a header's `RES_out` fires only toward the loop's
+/// exit, so it never makes a production inside the body redundant.
+#[test]
+fn header_res_out_does_not_leak_into_its_body() {
+    let src = "do i = 1, N\n  b = 2\nenddo\nc = x(1)";
+    let (program, graph, _) = setup(src);
+    let header = stmt_node(&program, &graph, src, "do i = 1, N");
+    let body = stmt_node(&program, &graph, src, "b = 2");
+    let mut problem = PlacementProblem::new(graph.num_nodes(), 1);
+    problem.take_init[stmt_node(&program, &graph, src, "c = x(1)").index()].insert(0);
+    let mut sol = blank(&graph, 1);
+    sol.eager.res_out[header.index()].insert(0);
+    sol.lazy.res_out[header.index()].insert(0);
+    pair_at(&mut sol, body, 0);
+    let diags = lint(&program, &graph, &problem, &sol);
+    assert!(diags.iter().all(|d| d.code != "GNT004"), "got: {diags:?}");
+}
+
+/// O1 around a loop: a header's `RES_in` fires on entry from outside
+/// only, not again on the CYCLE edge. Entered with the item available,
+/// the header's production is redundant. The body's is not: the body
+/// consumes the item, and coming back over the CYCLE edge does not
+/// re-produce it at the header.
+#[test]
+fn header_res_in_does_not_refire_on_the_cycle_edge() {
+    let src = "a = 1\ndo i = 1, N\n  b = x(1)\nenddo";
+    let (program, graph, _) = setup(src);
+    let header = stmt_node(&program, &graph, src, "do i = 1, N");
+    let body = stmt_node(&program, &graph, src, "b = x(1)");
+    let mut problem = PlacementProblem::new(graph.num_nodes(), 1);
+    problem.take_init[body.index()].insert(0);
+    let mut sol = blank(&graph, 1);
+    pair_at(&mut sol, stmt_node(&program, &graph, src, "a = 1"), 0);
+    pair_at(&mut sol, header, 0); // still available from `a = 1`
+    pair_at(&mut sol, body, 0); // consumed on every trip around the loop
+    let diags = lint(&program, &graph, &problem, &sol);
+    let redundant: Vec<_> = diags.iter().filter(|d| d.code == "GNT004").collect();
+    assert_eq!(redundant.len(), 1, "got: {diags:?}");
+    assert_eq!(redundant[0].node, Some(header));
+}
+
+/// O1 across a `goto` out of a loop: `RES_out` fires toward a JUMP
+/// successor, so the item arrives available at the jump target.
+#[test]
+fn jump_exit_carries_res_out() {
+    let src = "do i = 1, N\n  if t(i) goto 7\nenddo\ngoto 8\n7 b = 2\n8 c = x(1)";
+    let (program, graph, _) = setup(src);
+    let jump = stmt_node(&program, &graph, src, "if t(i) goto 7");
+    let mut problem = PlacementProblem::new(graph.num_nodes(), 1);
+    problem.take_init[stmt_node(&program, &graph, src, "8 c = x(1)").index()].insert(0);
+    let mut sol = blank(&graph, 1);
+    sol.eager.res_out[jump.index()].insert(0);
+    sol.lazy.res_out[jump.index()].insert(0);
+    pair_at(&mut sol, stmt_node(&program, &graph, src, "goto 8"), 0);
+    pair_at(&mut sol, stmt_node(&program, &graph, src, "7 b = 2"), 0);
+    let diags = lint(&program, &graph, &problem, &sol);
+    assert_single(&diags, "GNT004", src, "7 b = 2");
+}
+
 /// Figure 8 (criterion O2): one production per branch arm where a
 /// single hoisted production suffices.
 #[test]
